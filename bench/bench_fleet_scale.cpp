@@ -2,11 +2,14 @@
 //
 // Runs the same fleet (light three-cohort mix, short standby windows so the
 // bench stays inside the CI wall-time budget) at 1e4 and 1e5 devices, once
-// with jobs=1 and once with jobs=8, and reports devices/second for each leg
-// plus a speedup record per scale. The sharded run must be *bit-identical*
-// to the serial run — the full-precision CSVs are compared before any
-// number is reported, so a scheduling-order bug fails the bench rather than
-// quietly shifting the aggregates.
+// with jobs=1 and once with jobs=min(8, hardware threads), and reports
+// devices/second for each leg plus a speedup record per scale. Capping the
+// sharded leg at the host's threads keeps a small host from measuring
+// oversubscription instead of sharding; its records keep the "jobs=8" name
+// so the record set matches the checked-in baseline on every host. The
+// sharded run must be *bit-identical* to the serial run — the full-precision
+// CSVs are compared before any number is reported, so a scheduling-order
+// bug fails the bench rather than quietly shifting the aggregates.
 //
 // `--json <path>` writes BENCH_fleet_scale.json-style records; the checked-
 // in bench/BENCH_fleet_scale.json baseline is diffed by CI via
@@ -14,9 +17,11 @@
 // collapses (hung pool, accidental serialization, shard-granularity
 // regression).
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_json.hpp"
@@ -75,6 +80,8 @@ int main(int argc, char** argv) {
         {"fleet/n=" + std::to_string(n) + "/" + impl, wall_ms, rate});
   };
 
+  const int par_jobs =
+      static_cast<int>(std::clamp(std::thread::hardware_concurrency(), 1u, 8u));
   bool identical = true;
   double headline = 0.0;
   for (const std::uint64_t n : {std::uint64_t{10000}, std::uint64_t{100000}}) {
@@ -83,7 +90,7 @@ int main(int argc, char** argv) {
     const double serial_ms = ms_since(start);
 
     start = Clock::now();
-    const fleet::FleetResult sharded = run_fleet(fleet_config(n, /*jobs=*/8));
+    const fleet::FleetResult sharded = run_fleet(fleet_config(n, par_jobs));
     const double sharded_ms = ms_since(start);
 
     // The contract the speedup rides on: byte-identical aggregates.
@@ -100,7 +107,8 @@ int main(int argc, char** argv) {
 
   std::printf("Fleet scaling: sharded population runs vs serial (SIMTY policy)\n");
   std::printf("%s\n", t.render().c_str());
-  std::printf("fleet speedup at n=100000 (serial vs 8 jobs): %.2fx\n", headline);
+  std::printf("fleet speedup at n=100000 (serial vs %d jobs): %.2fx\n", par_jobs,
+              headline);
   if (!identical) {
     std::fprintf(stderr,
                  "error: serial and sharded fleet aggregates diverged\n");

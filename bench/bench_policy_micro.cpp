@@ -14,6 +14,7 @@
 #include "alarm/native_policy.hpp"
 #include "alarm/simty_policy.hpp"
 #include "common/rng.hpp"
+#include "common/strings.hpp"
 #include "exp/experiment.hpp"
 
 using namespace simty;
@@ -39,7 +40,7 @@ struct QueueFixture {
     for (std::size_t i = 0; i < n; ++i) {
       auto a = std::make_unique<alarm::Alarm>(
           alarm::AlarmId{i + 1},
-          alarm::AlarmSpec::repeating("a" + std::to_string(i), alarm::AppId{1},
+          alarm::AlarmSpec::repeating(str_cat("a", std::to_string(i)), alarm::AppId{1},
                                       alarm::RepeatMode::kStatic,
                                       Duration::seconds(600),
                                       rng.chance(0.5) ? 0.75 : 0.0, 0.96),

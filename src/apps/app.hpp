@@ -109,4 +109,9 @@ class ResidentApp {
 /// Grace-interval factor used for every alarm in the paper's experiments.
 inline constexpr double kPaperBeta = 0.96;
 
+/// The grace-factor rule every input boundary applies (--beta, cohort
+/// files, serve requests): finite and in [0, 1). NaN and +inf fail the
+/// comparisons, so no separate finiteness test is needed.
+inline bool valid_beta(double beta) { return beta >= 0.0 && beta < 1.0; }
+
 }  // namespace simty::apps

@@ -5,9 +5,13 @@
 // run to run, and replaced them with "imitated apps" that replay the time
 // and hardware patterns logged in a profiling pass. We reproduce that
 // methodology: IrregularApp models the erratic original (heavy-tailed
-// holds), TraceRecorder captures its per-delivery holds, and ImitatedApp
+// holds), record_trace captures its per-delivery holds, and ImitatedApp
 // replays the recorded trace verbatim — making NATIVE-vs-SIMTY comparisons
-// fair, exactly as in the paper.
+// fair, exactly as in the paper. The profiling pass is prefix-stable (entry
+// i depends only on the profile, the seed and i), so an ImitatedApp built
+// from (profile, length, seed) draws each entry the first time replay
+// reaches it: a short run pays only for the entries it replays, with the
+// same holds a full up-front recording would have given.
 
 #include <vector>
 
@@ -27,9 +31,13 @@ struct AppTrace {
   std::vector<TraceEntry> entries;
 };
 
-/// Models an irregular original: holds follow a heavy-tailed (lognormal-
-/// like) distribution around the profile's base hold instead of the
-/// bounded uniform jitter of well-behaved apps.
+/// One task of an irregular original: holds follow a heavy-tailed
+/// (lognormal-like) distribution around the profile's base hold instead of
+/// the bounded uniform jitter of well-behaved apps. The single hold sampler
+/// behind IrregularApp, record_trace and on-demand replay.
+TraceEntry sample_irregular_task(const AppProfile& profile, Rng& rng);
+
+/// Models an irregular original (sample_irregular_task per delivery).
 class IrregularApp : public ResidentApp {
  public:
   IrregularApp(AppProfile profile, Rng rng);
@@ -38,15 +46,22 @@ class IrregularApp : public ResidentApp {
   alarm::TaskSpec next_task() override;
 };
 
-/// Replays a pre-recorded trace cyclically; fully deterministic.
+/// Replays a trace cyclically; fully deterministic.
 class ImitatedApp : public ResidentApp {
  public:
+  /// Replays a pre-recorded trace verbatim.
   ImitatedApp(AppProfile profile, AppTrace trace);
 
+  /// Replays record_trace(profile, trace_length, seed), drawing entry i
+  /// the first time the cursor reaches it; wraps at `trace_length`.
+  ImitatedApp(AppProfile profile, std::size_t trace_length, std::uint64_t seed);
+
+  /// The entries drawn so far (all of them for a pre-recorded trace).
   const AppTrace& trace() const { return trace_; }
 
   /// Base state plus the replay cursor; the trace itself is reconstructed
-  /// from config (same name-hash seed), not serialized.
+  /// from config (same name-hash seed), not serialized — a restored app
+  /// redraws the prefix up to the cursor when replay next needs it.
   void save(snapshot::Writer& w) const override;
   void restore(snapshot::SectionReader& s) override;
 
@@ -55,6 +70,8 @@ class ImitatedApp : public ResidentApp {
 
  private:
   AppTrace trace_;
+  std::size_t trace_length_;
+  Rng probe_;  // draws trace_.entries[trace_.entries.size()] next
   std::size_t cursor_ = 0;
 };
 

@@ -15,15 +15,16 @@ void Workload::add_profiles(const std::vector<AppProfile>& profiles, Rng& rng) {
     }
     if (p.irregular) {
       // The paper's methodology: irregular apps are replaced by imitated
-      // apps replaying a pre-recorded trace. The trace seed is derived from
-      // the app name only, NOT the run seed — the same trace is replayed
-      // under NATIVE and SIMTY for a fair comparison.
+      // apps replaying a pre-recorded trace (here drawn on demand, with the
+      // same entries; see ImitatedApp). The trace seed is derived from the
+      // app name only, NOT the run seed — the same trace is replayed under
+      // NATIVE and SIMTY for a fair comparison.
       std::uint64_t name_hash = 1469598103934665603ULL;
       for (const char c : p.name) {
         name_hash = (name_hash ^ static_cast<unsigned char>(c)) * 1099511628211ULL;
       }
-      AppTrace trace = record_trace(p, config_.trace_length, name_hash);
-      apps_.push_back(std::make_unique<ImitatedApp>(p, std::move(trace)));
+      apps_.push_back(
+          std::make_unique<ImitatedApp>(p, config_.trace_length, name_hash));
     } else {
       apps_.push_back(std::make_unique<ResidentApp>(p, rng.fork(apps_.size())));
     }

@@ -36,7 +36,8 @@ struct WorkloadConfig {
   Duration first_launch = Duration::seconds(5);
   Duration launch_gap = Duration::seconds(7);
 
-  /// Trace length recorded per irregular app before the run.
+  /// Length of each irregular app's imitation trace: replay wraps after
+  /// this many entries, each drawn the first time replay reaches it.
   std::size_t trace_length = 256;
 
   /// Overrides every profile's retry probability when set (>= 0). The

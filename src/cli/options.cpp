@@ -110,7 +110,7 @@ ParseResult parse_args(const std::vector<std::string>& args) {
     if (arg == "--beta") {
       const auto v = value();
       const auto b = v ? parse_double(*v) : std::nullopt;
-      if (!b || *b < 0.0 || *b >= 1.0) return fail("--beta needs a value in [0, 1)");
+      if (!b || !apps::valid_beta(*b)) return fail("--beta needs a value in [0, 1)");
       plan.config.beta = *b;
       continue;
     }

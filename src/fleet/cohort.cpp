@@ -49,7 +49,8 @@ void CohortSpec::validate() const {
                   "cohort rein_jitter must be in [0, 1)");
   SIMTY_CHECK_MSG(alpha_jitter >= 0.0 && alpha_jitter < 1.0,
                   "cohort alpha_jitter must be in [0, 1)");
-  SIMTY_CHECK_MSG(beta_lo >= 0.0 && beta_lo <= beta_hi && beta_hi < 1.0,
+  SIMTY_CHECK_MSG(apps::valid_beta(beta_lo) && apps::valid_beta(beta_hi) &&
+                      beta_lo <= beta_hi,
                   "cohort beta range must satisfy 0 <= lo <= hi < 1");
   SIMTY_CHECK_MSG(wearable_fraction >= 0.0 && wearable_fraction <= 1.0,
                   "cohort wearable_fraction must be in [0, 1]");

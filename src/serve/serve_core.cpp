@@ -99,7 +99,7 @@ Request decode_request(const std::string& bytes) {
   if (has_switch) {
     SIMTY_CHECK_MSG(at_us >= 0 && at_us <= duration_us,
                     "serve: beta switch outside the run");
-    SIMTY_CHECK_MSG(beta > 0.0, "serve: beta must be positive");
+    SIMTY_CHECK_MSG(apps::valid_beta(beta), "serve: beta must be in [0, 1)");
     req.beta_switch =
         exp::ExperimentConfig::BetaSwitch{Duration::micros(at_us), beta};
   }

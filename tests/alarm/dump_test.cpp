@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "alarm/native_policy.hpp"
+#include "common/strings.hpp"
 #include "support/framework_fixture.hpp"
 
 namespace simty::alarm {
@@ -42,7 +43,7 @@ TEST_F(DumpTest, HealthyManagerHasNoInvariantIssues) {
   init(std::make_unique<NativePolicy>());
   for (int i = 0; i < 6; ++i) {
     manager_->register_alarm(
-        AlarmSpec::repeating("a" + std::to_string(i), AppId{1},
+        AlarmSpec::repeating(str_cat("a", std::to_string(i)), AppId{1},
                              RepeatMode::kStatic, Duration::seconds(300 + i * 60),
                              0.5, 0.9),
         at(100 + i * 40), task(ComponentSet{Component::kWifi}, Duration::seconds(1)));

@@ -4,6 +4,7 @@
 
 #include "alarm/native_policy.hpp"
 #include "apps/app_catalog.hpp"
+#include "snapshot/snapshot.hpp"
 #include "support/framework_fixture.hpp"
 
 namespace simty::apps {
@@ -61,6 +62,75 @@ TEST(RecordTrace, RejectsZeroDeliveries) {
 TEST(ImitatedApp, RejectsEmptyTrace) {
   EXPECT_THROW(ImitatedApp(profile_by_name("Moves"), AppTrace{"Moves", {}}),
                std::logic_error);
+}
+
+// Exposes the protected task hook so replay can be stepped without a
+// simulator.
+class SteppedImitation : public ImitatedApp {
+ public:
+  using ImitatedApp::ImitatedApp;
+  alarm::TaskSpec step() { return next_task(); }
+};
+
+std::string save_app(const ImitatedApp& app) {
+  snapshot::Writer w;
+  w.begin_section("app", 1);
+  app.save(w);
+  w.end_section();
+  return w.finish();
+}
+
+void restore_app(ImitatedApp& app, const std::string& bytes) {
+  const snapshot::Reader r(bytes);
+  snapshot::SectionReader s = r.section("app", 1);
+  app.restore(s);
+}
+
+TEST(ImitatedApp, OnDemandReplayMatchesRecordedTraceAcrossWrap) {
+  const AppProfile p = profile_by_name("Cell Tracker");
+  constexpr std::size_t kLength = 16;
+  const AppTrace recorded = record_trace(p, kLength, 1234);
+  SteppedImitation app(p, kLength, 1234);
+  EXPECT_TRUE(app.trace().entries.empty());  // nothing drawn up front
+  for (std::size_t i = 0; i < 3 * kLength + 5; ++i) {
+    const alarm::TaskSpec t = app.step();
+    EXPECT_EQ(t.hold, recorded.entries[i % kLength].hold) << "step " << i;
+    EXPECT_EQ(t.hardware, recorded.entries[i % kLength].hardware);
+    EXPECT_EQ(app.trace().entries.size(), std::min(i + 1, kLength));
+  }
+}
+
+TEST(ImitatedApp, RestoreAheadOfDrawnPrefixResumesExactly) {
+  const AppProfile p = profile_by_name("Moves");
+  constexpr std::size_t kLength = 10;
+  const AppTrace recorded = record_trace(p, kLength, 77);
+  for (const std::size_t cursor : {std::size_t{0}, std::size_t{4}, kLength - 1}) {
+    SteppedImitation source(p, kLength, 77);
+    for (std::size_t i = 0; i < cursor; ++i) source.step();
+    SteppedImitation resumed(p, kLength, 77);
+    restore_app(resumed, save_app(source));
+    for (std::size_t i = cursor; i < cursor + kLength + 2; ++i) {
+      EXPECT_EQ(resumed.step().hold, recorded.entries[i % kLength].hold)
+          << "cursor " << cursor << ", step " << i;
+    }
+  }
+}
+
+TEST(ImitatedApp, RestoreRejectsCursorAtOrPastTraceLength) {
+  const AppProfile p = profile_by_name("Moves");
+  SteppedImitation longer(p, 8, 77);
+  for (int i = 0; i < 5; ++i) longer.step();
+  const std::string at_five = save_app(longer);
+  SteppedImitation exact(p, 5, 77);  // cursor == length
+  EXPECT_THROW(restore_app(exact, at_five), std::logic_error);
+  SteppedImitation shorter(p, 3, 77);  // cursor > length
+  EXPECT_THROW(restore_app(shorter, at_five), std::logic_error);
+  SteppedImitation fits(p, 6, 77);
+  EXPECT_NO_THROW(restore_app(fits, at_five));
+}
+
+TEST(ImitatedApp, RejectsZeroTraceLength) {
+  EXPECT_THROW(ImitatedApp(profile_by_name("Moves"), 0, 1), std::logic_error);
 }
 
 class ImitatedAppTest : public test::FrameworkFixture {};

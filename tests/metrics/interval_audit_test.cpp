@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/strings.hpp"
+
 namespace simty::metrics {
 namespace {
 
@@ -12,7 +14,7 @@ alarm::DeliveryRecord record(std::uint64_t id, std::int64_t delivered,
                              bool perceptible = false) {
   alarm::DeliveryRecord r;
   r.id = alarm::AlarmId{id};
-  r.tag = "a" + std::to_string(id);
+  r.tag = str_cat("a", std::to_string(id));
   r.mode = mode;
   r.repeat_interval = Duration::seconds(repeat);
   r.delivered = at(delivered);

@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -103,6 +104,19 @@ TEST(ServeCodec, RejectsMalformedFrames) {
   Request bad = quick_request(0.5);
   bad.beta_switch->at = bad.duration + Duration::seconds(1);
   EXPECT_THROW(decode_request(encode_request(bad)), std::logic_error);
+}
+
+TEST(ServeCodec, BetaFollowsTheCliRule) {
+  // Same rule as --beta: finite and in [0, 1).
+  Request req = quick_request(0.5);
+  for (const double beta : {1.0, std::numeric_limits<double>::infinity(),
+                            std::numeric_limits<double>::quiet_NaN(), -0.1}) {
+    req.beta_switch->beta = beta;
+    EXPECT_THROW(decode_request(encode_request(req)), std::logic_error)
+        << "beta " << beta;
+  }
+  req.beta_switch->beta = 0.0;
+  EXPECT_EQ(decode_request(encode_request(req)).beta_switch->beta, 0.0);
 }
 
 TEST(ServeHash, SeedAndBetaFactorOutAsDesigned) {

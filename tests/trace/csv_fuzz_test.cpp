@@ -48,7 +48,8 @@ TEST(CsvFuzz, RandomByteMutationsNeverCrash) {
       } else {
         mutated.insert(pos, 1, static_cast<char>(rng.next_below(96) + 32));
       }
-      if (mutated.empty()) mutated = ",";
+      // push_back, not = ",": GCC 12 at -O3 flags the latter -Wrestrict.
+      if (mutated.empty()) mutated.push_back(',');
     }
     try {
       const DeliveryLog log = DeliveryLog::from_csv(mutated);

@@ -30,26 +30,34 @@ std::string escape(const std::string& s) {
   return out;
 }
 
+// Appends the parts in order. Kept to += so no `"lit" + std::string&&`
+// temporaries arise: GCC 12 at -O3 flags those with a false-positive
+// -Wrestrict, which -Werror turns into a Release build failure.
+template <typename... Parts>
+void append(std::string& out, const Parts&... parts) {
+  (out += ... += parts);
+}
+
 }  // namespace
 
 std::string to_json(const Result& result) {
   std::string out = "{\n";
-  out += "  \"files\": " + std::to_string(result.files) + ",\n";
-  out += "  \"functions\": " + std::to_string(result.functions) + ",\n";
-  out += "  \"call_edges\": " + std::to_string(result.call_edges) + ",\n";
-  out += "  \"include_edges\": " + std::to_string(result.include_edges) + ",\n";
+  append(out, "  \"files\": ", std::to_string(result.files), ",\n");
+  append(out, "  \"functions\": ", std::to_string(result.functions), ",\n");
+  append(out, "  \"call_edges\": ", std::to_string(result.call_edges), ",\n");
+  append(out, "  \"include_edges\": ", std::to_string(result.include_edges), ",\n");
   out += "  \"findings\": [";
   for (std::size_t i = 0; i < result.findings.size(); ++i) {
     const Finding& f = result.findings[i];
     out += i ? ",\n    {" : "\n    {";
-    out += "\"check\": \"" + escape(f.check) + "\", ";
-    out += "\"file\": \"" + escape(f.file) + "\", ";
-    out += "\"line\": " + std::to_string(f.line) + ", ";
-    out += "\"message\": \"" + escape(f.message) + "\", ";
+    append(out, "\"check\": \"", escape(f.check), "\", ");
+    append(out, "\"file\": \"", escape(f.file), "\", ");
+    append(out, "\"line\": ", std::to_string(f.line), ", ");
+    append(out, "\"message\": \"", escape(f.message), "\", ");
     out += "\"chain\": [";
     for (std::size_t c = 0; c < f.chain.size(); ++c) {
       if (c) out += ", ";
-      out += "\"" + escape(f.chain[c]) + "\"";
+      append(out, "\"", escape(f.chain[c]), "\"");
     }
     out += "]}";
   }
@@ -58,10 +66,10 @@ std::string to_json(const Result& result) {
   for (std::size_t i = 0; i < result.advisories.size(); ++i) {
     const Advisory& a = result.advisories[i];
     out += i ? ",\n    {" : "\n    {";
-    out += "\"check\": \"" + escape(a.check) + "\", ";
-    out += "\"file\": \"" + escape(a.file) + "\", ";
-    out += "\"line\": " + std::to_string(a.line) + ", ";
-    out += "\"message\": \"" + escape(a.message) + "\"}";
+    append(out, "\"check\": \"", escape(a.check), "\", ");
+    append(out, "\"file\": \"", escape(a.file), "\", ");
+    append(out, "\"line\": ", std::to_string(a.line), ", ");
+    append(out, "\"message\": \"", escape(a.message), "\"}");
   }
   out += result.advisories.empty() ? "]\n" : "\n  ]\n";
   out += "}\n";
