@@ -12,15 +12,10 @@ namespace simty::alarm {
 
 AlarmManager::AlarmManager(sim::Simulator& sim, hw::Device& device, hw::Rtc& rtc,
                            hw::WakelockManager& wakelocks,
-                           std::unique_ptr<AlignmentPolicy> policy,
-                           common::Arena* arena)
+                           std::unique_ptr<AlignmentPolicy> policy)
     : sim_(sim), device_(device), rtc_(rtc), wakelocks_(wakelocks),
       policy_(std::move(policy)) {
   SIMTY_CHECK(policy_ != nullptr);
-  if (arena != nullptr) {
-    indices_[0].set_arena(arena);
-    indices_[1].set_arena(arena);
-  }
   device_.add_wake_listener([this](hw::WakeReason r) { on_device_wake(r); });
 }
 
@@ -84,7 +79,6 @@ void AlarmManager::rebatch_all() {
     }
     q.clear();
   }
-  for (auto& idx : indices_) idx.clear();
   std::sort(alarms.begin(), alarms.end(), [](const Alarm* x, const Alarm* y) {
     return x->nominal() < y->nominal();
   });
@@ -128,64 +122,20 @@ std::vector<std::unique_ptr<Batch>>& AlarmManager::queue_ref(AlarmKind kind) {
   return queues_[static_cast<std::size_t>(kind)];
 }
 
-BatchIndex& AlarmManager::index_ref(AlarmKind kind) {
-  return indices_[static_cast<std::size_t>(kind)];
-}
-
-void AlarmManager::renumber(std::vector<std::unique_ptr<Batch>>& q,
-                            std::size_t from, std::size_t to) {
-  for (std::size_t i = from; i < to; ++i) q[i]->set_queue_pos(i);
-}
-
-std::optional<std::size_t> AlarmManager::select_entry(const Alarm& a,
-                                                      AlarmKind kind) {
-  auto& q = queue_ref(kind);
-  const std::optional<CandidateQuery> query =
-      indexed_selection_ ? policy_->candidate_query(a) : std::nullopt;
-  if (!query) return policy_->select_batch(a, q);
-
-  candidates_.clear();
-  index_ref(kind).collect(query->interval, query->entry_kind, candidates_);
-  SIMTY_TRACE_INSTANT(sim_.now(), trace::TraceCategory::kAlarm, "batch-candidates",
-                      static_cast<std::int64_t>(candidates_.size()));
-  const std::optional<std::size_t> chosen =
-      policy_->select_among(a, q, candidates_);
-
-  if (slow_queue_checks_) {
-    // Differential reference: the candidate set must equal a brute-force
-    // overlap scan, and the selection must equal the linear select_batch.
-    std::vector<std::size_t> expected;
-    for (std::size_t i = 0; i < q.size(); ++i) {
-      const TimeInterval& entry_iv =
-          query->entry_kind == EntryIntervalKind::kWindow
-              ? q[i]->window_interval()
-              : q[i]->grace_interval();
-      if (entry_iv.overlaps(query->interval)) expected.push_back(i);
-    }
-    SIMTY_CHECK_MSG(expected == candidates_,
-                    "BatchIndex candidate set diverged from the linear scan");
-    SIMTY_CHECK_MSG(chosen == policy_->select_batch(a, q),
-                    "indexed selection diverged from the linear reference");
-  }
-  return chosen;
-}
-
 void AlarmManager::insert(Alarm* a) {
-  const AlarmKind kind = a->spec().kind;
-  auto& q = queue_ref(kind);
-  BatchIndex& idx = index_ref(kind);
-  const std::optional<std::size_t> slot = select_entry(*a, kind);
+  auto& q = queue_ref(a->spec().kind);
+  // Selection is the policy's linear scan of `q`: the instant marks one
+  // placement decision and carries the number of entries it scans.
+  SIMTY_TRACE_INSTANT(sim_.now(), trace::TraceCategory::kAlarm, "batch-candidates",
+                      static_cast<std::int64_t>(q.size()));
+  const std::optional<std::size_t> slot = policy_->select_batch(*a, q);
   if (slot) {
     SIMTY_CHECK(*slot < q.size());
-    // The join changes the entry's intervals, so re-key it in the index
-    // around the mutation.
-    idx.erase(q[*slot].get());
     q[*slot]->add(a);
     SIMTY_CHECK_MSG(!q[*slot]->grace_interval().is_empty(),
                     "policy joined an entry with no grace overlap");
     SIMTY_TRACE_INSTANT(sim_.now(), trace::TraceCategory::kAlarm, "batch-join",
                         static_cast<std::int64_t>(q[*slot]->size()));
-    idx.insert(q[*slot].get());
     reposition(q, *slot);
   } else {
     // New singleton entry: a stable_sort would place it after every entry
@@ -196,11 +146,7 @@ void AlarmManager::insert(Alarm* a) {
         q.begin(), q.end(), t, [](TimePoint value, const std::unique_ptr<Batch>& b) {
           return value < b->delivery_time();
         });
-    const auto at = static_cast<std::size_t>(pos - q.begin());
     q.insert(pos, std::move(batch));
-    // Position stamps ride on the O(shift) the vector insert already paid.
-    renumber(q, at, q.size());
-    idx.insert(q[at].get());
     SIMTY_TRACE_INSTANT(sim_.now(), trace::TraceCategory::kAlarm, "batch-create",
                         static_cast<std::int64_t>(q.size()));
   }
@@ -213,8 +159,7 @@ void AlarmManager::insert(Alarm* a) {
 }
 
 bool AlarmManager::remove_from_queue(AlarmId id) {
-  for (std::size_t k = 0; k < 2; ++k) {
-    auto& q = queues_[k];
+  for (auto& q : queues_) {
     const auto it = std::find_if(q.begin(), q.end(), [&](const auto& b) {
       return b->contains(id);
     });
@@ -223,10 +168,7 @@ bool AlarmManager::remove_from_queue(AlarmId id) {
     // Realignment (§2.1): pull the whole entry out and reinsert the other
     // members in nominal order; the caller reinserts the target alarm.
     std::unique_ptr<Batch> batch = std::move(*it);
-    indices_[k].erase(batch.get());
-    const auto at = static_cast<std::size_t>(it - q.begin());
     q.erase(it);
-    renumber(q, at, q.size());
     batch->remove(id);
     if (!batch->empty()) {
       ++stats_.realignments;
@@ -261,20 +203,16 @@ void AlarmManager::reposition(std::vector<std::unique_ptr<Batch>>& q,
         [](TimePoint value, const std::unique_ptr<Batch>& b) {
           return value < b->delivery_time();
         });
-    const auto dest = static_cast<std::size_t>(pos - q.begin());
     std::rotate(pos, q.begin() + static_cast<std::ptrdiff_t>(index),
                 q.begin() + static_cast<std::ptrdiff_t>(index) + 1);
-    renumber(q, dest, index + 1);
   } else if (index + 1 < q.size() && q[index + 1]->delivery_time() < t) {
     const auto pos = std::lower_bound(
         q.begin() + static_cast<std::ptrdiff_t>(index) + 1, q.end(), t,
         [](const std::unique_ptr<Batch>& b, TimePoint value) {
           return b->delivery_time() < value;
         });
-    const auto dest = static_cast<std::size_t>(pos - q.begin());
     std::rotate(q.begin() + static_cast<std::ptrdiff_t>(index),
                 q.begin() + static_cast<std::ptrdiff_t>(index) + 1, pos);
-    renumber(q, index, dest);
   }
 }
 
@@ -333,13 +271,10 @@ void AlarmManager::schedule_nonwakeup_check() {
 
 void AlarmManager::deliver_due(AlarmKind kind) {
   auto& q = queue_ref(kind);
-  BatchIndex& idx = index_ref(kind);
   const TimePoint now = sim_.now();
   while (!q.empty() && q.front()->delivery_time() <= now) {
     std::unique_ptr<Batch> batch = std::move(q.front());
-    idx.erase(batch.get());
     q.erase(q.begin());
-    renumber(q, 0, q.size());
     deliver_batch(std::move(batch));
   }
   if (kind == AlarmKind::kWakeup) {
@@ -513,10 +448,6 @@ std::vector<std::string> AlarmManager::check_invariants() const {
             str_format("%s[%zu]: perceptible entry without window overlap",
                        to_string(kind), i));
       }
-      if (b.queue_pos() != i) {
-        issues.push_back(str_format("%s[%zu]: stale queue position %zu",
-                                    to_string(kind), i, b.queue_pos()));
-      }
       for (const Alarm* a : b.members()) {
         ++seen[a->id().value];
         if (!registry_.contains(a->id().value)) {
@@ -532,23 +463,6 @@ std::vector<std::string> AlarmManager::check_invariants() const {
     if (count > 1) {
       issues.push_back(str_format("alarm %llu queued %d times",
                                   static_cast<unsigned long long>(id), count));
-    }
-  }
-  for (const AlarmKind kind : {AlarmKind::kWakeup, AlarmKind::kNonWakeup}) {
-    const auto& q = queue(kind);
-    const BatchIndex& idx = indices_[static_cast<std::size_t>(kind)];
-    if (idx.size() != q.size()) {
-      issues.push_back(str_format("%s: index holds %zu entries, queue %zu",
-                                  to_string(kind), idx.size(), q.size()));
-    }
-    for (const Batch* b : idx.entries_inorder()) {
-      if (b->queue_pos() >= q.size() || q[b->queue_pos()].get() != b) {
-        issues.push_back(str_format("%s: index entry not in queue",
-                                    to_string(kind)));
-      }
-    }
-    for (const std::string& issue : idx.check_invariants()) {
-      issues.push_back(str_format("%s index: %s", to_string(kind), issue.c_str()));
     }
   }
   const auto& wq = queue(AlarmKind::kWakeup);
@@ -592,7 +506,6 @@ void AlarmManager::save(snapshot::Writer& w) const {
       w.u64(batch->size());
       for (const Alarm* a : batch->members()) w.u64(a->id().value);
     }
-    w.u64(indices_[static_cast<std::size_t>(kind)].next_seq());
   }
   w.boolean(nonwakeup_check_.has_value());
   if (nonwakeup_check_) w.u64(nonwakeup_check_->value);
@@ -604,7 +517,6 @@ void AlarmManager::restore(snapshot::SectionReader& s,
                   "AlarmManager::restore: handler resolver required");
   registry_.clear();
   for (auto& q : queues_) q.clear();
-  for (auto& idx : indices_) idx.clear();
   nonwakeup_check_.reset();
 
   next_id_ = s.u64();
@@ -636,7 +548,6 @@ void AlarmManager::restore(snapshot::SectionReader& s,
   std::map<std::uint64_t, int> queued;
   for (const AlarmKind kind : {AlarmKind::kWakeup, AlarmKind::kNonWakeup}) {
     auto& q = queue_ref(kind);
-    BatchIndex& idx = index_ref(kind);
     const std::uint64_t batch_count = s.u64();
     s.check_count(batch_count, 18);  // member count + at least one member id
     for (std::uint64_t b = 0; b < batch_count; ++b) {
@@ -665,18 +576,12 @@ void AlarmManager::restore(snapshot::SectionReader& s,
       }
       SIMTY_CHECK_MSG(!batch->grace_interval().is_empty(),
                       "AlarmManager::restore: entry without grace overlap");
-      batch->set_queue_pos(q.size());
       q.push_back(std::move(batch));
     }
     for (std::size_t i = 1; i < q.size(); ++i) {
       SIMTY_CHECK_MSG(q[i - 1]->delivery_time() <= q[i]->delivery_time(),
                       "AlarmManager::restore: queue out of order");
     }
-    for (const auto& batch : q) idx.insert(batch.get());
-    const std::uint64_t next_seq = s.u64();
-    SIMTY_CHECK_MSG(next_seq >= idx.next_seq(),
-                    "AlarmManager::restore: index insertion counter regressed");
-    idx.set_next_seq(next_seq);
   }
 
   if (s.boolean()) {

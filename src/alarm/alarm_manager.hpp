@@ -21,7 +21,6 @@
 
 #include "alarm/alarm.hpp"
 #include "alarm/batch.hpp"
-#include "alarm/batch_index.hpp"
 #include "alarm/policy.hpp"
 #include "hw/device.hpp"
 #include "hw/rtc.hpp"
@@ -103,13 +102,10 @@ class AlarmManager {
     std::uint64_t handler_failures = 0;    // app handlers that threw
   };
 
-  /// All dependencies must outlive the manager. A non-null `arena` backs
-  /// the batch-index node slabs (per-shard in the fleet runner); it must
-  /// outlive the manager and must not be reset while it lives.
+  /// All dependencies must outlive the manager.
   AlarmManager(sim::Simulator& sim, hw::Device& device, hw::Rtc& rtc,
                hw::WakelockManager& wakelocks,
-               std::unique_ptr<AlignmentPolicy> policy,
-               common::Arena* arena = nullptr);
+               std::unique_ptr<AlignmentPolicy> policy);
 
   AlarmManager(const AlarmManager&) = delete;
   AlarmManager& operator=(const AlarmManager&) = delete;
@@ -158,18 +154,10 @@ class AlarmManager {
   /// Read-only view of a batch queue (sorted by delivery time).
   const std::vector<std::unique_ptr<Batch>>& queue(AlarmKind kind) const;
 
-  /// Enables the linear-scan reference checks after every queue mutation:
-  /// the stable_sort order equivalence (see sort_queue) plus, for indexed
-  /// selection, a brute-force overlap scan asserting the BatchIndex
-  /// candidate set and a select_batch replay asserting the chosen entry.
-  /// O(n log n) per insert — tests only. Defaults to on when built with
-  /// -DSIMTY_SLOW_CHECKS.
+  /// Enables the stable_sort order-equivalence check (see sort_queue)
+  /// after every insert. O(n log n) per insert — tests only. Defaults to on
+  /// when built with -DSIMTY_SLOW_CHECKS.
   void set_slow_queue_checks(bool enabled) { slow_queue_checks_ = enabled; }
-
-  /// Disables the BatchIndex fast path, forcing every placement through the
-  /// policy's linear select_batch. For benchmarking the index against its
-  /// reference; results are identical by contract.
-  void set_indexed_selection(bool enabled) { indexed_selection_ = enabled; }
 
   /// Maps a registered alarm back to its delivery handler on restore.
   /// Closures are not serializable, so the owning workload components
@@ -206,10 +194,7 @@ class AlarmManager {
   /// (empty = healthy). Checked invariants: queues sorted by delivery
   /// time; every queued alarm registered and queued exactly once; no empty
   /// batches; grace overlap non-empty in every entry; perceptible entries
-  /// have non-empty window overlap; RTC programmed to the wakeup head;
-  /// every entry knows its queue position; each BatchIndex holds exactly
-  /// the queued entries under fresh grace keys (plus its own structural
-  /// invariants).
+  /// have non-empty window overlap; RTC programmed to the wakeup head.
   std::vector<std::string> check_invariants() const;
 
  private:
@@ -219,22 +204,9 @@ class AlarmManager {
   };
 
   std::vector<std::unique_ptr<Batch>>& queue_ref(AlarmKind kind);
-  BatchIndex& index_ref(AlarmKind kind);
 
-  /// Picks the entry `a` should join: the indexed path (candidate_query →
-  /// BatchIndex::collect → select_among) when the policy advertises one and
-  /// indexed selection is on, the linear select_batch otherwise. Under slow
-  /// checks the indexed result is differentially verified against both a
-  /// brute-force overlap scan and the linear reference selection.
-  std::optional<std::size_t> select_entry(const Alarm& a, AlarmKind kind);
-
-  /// Places an alarm via the policy, keeps the queue and index in sync,
-  /// reprograms.
+  /// Places an alarm via the policy, keeps the queue sorted, reprograms.
   void insert(Alarm* a);
-
-  /// Re-stamps queue positions for q[from, to).
-  static void renumber(std::vector<std::unique_ptr<Batch>>& q, std::size_t from,
-                       std::size_t to);
 
   /// Restores sorted order after the batch at `index` changed its delivery
   /// time (a member joined): rotates only the affected batch to its new
@@ -267,8 +239,6 @@ class AlarmManager {
 
   std::map<std::uint64_t, Registered> registry_;
   std::vector<std::unique_ptr<Batch>> queues_[2];
-  BatchIndex indices_[2];  // mirrors queues_: one interval index per kind
-  std::vector<std::size_t> candidates_;  // collect() scratch, reused across inserts
   std::vector<DeliveryObserver> observers_;
   std::vector<SessionObserver> session_observers_;
   DeliveryGate delivery_gate_;
@@ -276,7 +246,6 @@ class AlarmManager {
   Stats stats_;
   std::uint64_t next_id_ = 1;
   std::uint64_t last_seen_wakeups_ = 0;
-  bool indexed_selection_ = true;
 #ifdef SIMTY_SLOW_CHECKS
   bool slow_queue_checks_ = true;
 #else

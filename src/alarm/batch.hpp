@@ -64,12 +64,6 @@ class Batch {
   /// the aggregates are not invertible).
   void refresh();
 
-  /// Current position in the owning queue, maintained by AlarmManager so
-  /// BatchIndex query results can be ordered by queue position without a
-  /// per-query search. Meaningless for batches outside a queue.
-  std::size_t queue_pos() const { return queue_pos_; }
-  void set_queue_pos(std::size_t pos) { queue_pos_ = pos; }
-
  private:
   std::vector<Alarm*> members_;
   TimeInterval window_ = TimeInterval::empty();
@@ -77,7 +71,6 @@ class Batch {
   hw::ComponentSet hardware_;
   bool perceptible_ = false;
   Duration expected_hold_ = Duration::zero();
-  std::size_t queue_pos_ = 0;
 };
 
 }  // namespace simty::alarm

@@ -21,7 +21,7 @@ class DurationSimtyPolicy : public SimtyPolicy {
                     const Batch& incumbent) const override;
 
   /// A later equal-rank entry can win on duration similarity, so the
-  /// candidate scan must not stop at the first rank-1 match.
+  /// queue scan must not stop at the first rank-1 match.
   bool has_tie_preference() const override { return true; }
 };
 

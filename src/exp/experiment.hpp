@@ -112,9 +112,9 @@ struct ExperimentConfig {
   trace::Tracer* tracer = nullptr;
 
   /// Per-run storage backing. A non-null arena is threaded behind the
-  /// run's event-queue slabs and batch-index nodes, so a caller that runs
-  /// many experiments back to back (the fleet shard loop, sweep
-  /// repetitions) can reset() between runs instead of reallocating.
+  /// run's event-queue slabs, so a caller that runs many experiments back
+  /// to back (the fleet shard loop, sweep repetitions) can reset() between
+  /// runs instead of reallocating.
   /// Presence of an arena never changes any result bit. The arena must
   /// outlive the run and, being single-threaded, forces the serial path in
   /// run_repeated (the parallel runner injects its own per-worker arenas

@@ -66,7 +66,8 @@ int wire_listeners(hw::PowerBus& bus, power::EnergyAccountant& accountant,
 // Section schema versions; bump a component's entry when its field list
 // changes so old snapshots fail loudly instead of misparsing.
 // v2: hw::Component gained kWur (accountant per-component array grew).
-constexpr std::uint32_t kSectionVersion = 2;
+// v3: the alarms section no longer carries per-queue index counters.
+constexpr std::uint32_t kSectionVersion = 3;
 
 }  // namespace
 
@@ -79,8 +80,7 @@ Run::Run(const ExperimentConfig& config)
       device_(sim_, config_.power_model, bus_),
       rtc_(sim_, device_),
       wakelocks_(sim_, config_.power_model, bus_),
-      manager_(sim_, device_, rtc_, wakelocks_, make_policy(config_),
-               config_.arena_opts.arena),
+      manager_(sim_, device_, rtc_, wakelocks_, make_policy(config_)),
       workload_(make_workload(config_)),
       doze_(sim_, manager_, device_, alarm::DozeController::Config{}),
       horizon_(TimePoint::origin() + config_.duration) {

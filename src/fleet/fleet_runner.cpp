@@ -94,11 +94,11 @@ CohortAggregate run_shard(const CohortSpec& spec, const FleetConfig& config,
   if (checkpointing && std::filesystem::exists(ckpt_path)) {
     resume_at = read_shard_ckpt(ckpt_path, spec, shard, agg);
   }
-  // One arena per shard: each device run carves its event-queue slabs and
-  // batch-index nodes from it, and the reset between devices rewinds the
-  // same blocks instead of hitting the allocator — after the first device,
-  // the shard loop's run storage is allocation-free (see the alloc-gate
-  // test). Arena presence never changes a result bit.
+  // One arena per shard: each device run carves its event-queue slabs from
+  // it, and the reset between devices rewinds the same blocks instead of
+  // hitting the allocator — after the first device, the shard loop's run
+  // storage is allocation-free (see the alloc-gate test). Arena presence
+  // never changes a result bit.
   common::Arena arena;
   std::uint64_t processed = 0;  // devices run in THIS invocation
   for (std::uint64_t d = resume_at; d < shard.end; ++d) {

@@ -11,6 +11,7 @@
 #include "alarm/native_policy.hpp"
 #include "alarm/simty_policy.hpp"
 #include "common/strings.hpp"
+#include "support/framework_fixture.hpp"
 
 namespace simty::alarm {
 namespace {
@@ -89,6 +90,31 @@ TEST(NativePolicy, ChecksEntryIntersectionNotJustAnyMember) {
   Alarm* n = q.make_alarm(100, 250, 0.8, 0.96, ComponentSet{Component::kWifi});
   NativePolicy policy;
   EXPECT_EQ(policy.select_batch(*n, q.queue), std::nullopt);
+}
+
+TEST(NativePolicy, EmptyQueueFirstInsertAndTouchingWindows) {
+  test::FrameworkHarness h;
+  h.init(std::make_unique<NativePolicy>());
+  h.manager_->set_slow_queue_checks(true);
+
+  // First insert lands in an empty queue.
+  AlarmSpec s1 = AlarmSpec::one_shot("a", AppId{1}, Duration::seconds(10));
+  h.manager_->register_alarm(s1, h.at(100), test::FrameworkHarness::noop_task());
+  ASSERT_EQ(h.manager_->queue(AlarmKind::kWakeup).size(), 1u);
+
+  // Window [110, 120] touches [100, 110] at the shared endpoint — closed
+  // intervals overlap there, so NATIVE joins.
+  AlarmSpec s2 = AlarmSpec::one_shot("b", AppId{2}, Duration::seconds(10));
+  h.manager_->register_alarm(s2, h.at(110), test::FrameworkHarness::noop_task());
+  ASSERT_EQ(h.manager_->queue(AlarmKind::kWakeup).size(), 1u);
+  EXPECT_EQ(h.manager_->queue(AlarmKind::kWakeup).front()->size(), 2u);
+
+  // One microsecond past the joint window's end: disjoint, new entry.
+  AlarmSpec s3 = AlarmSpec::one_shot("c", AppId{3}, Duration::seconds(10));
+  h.manager_->register_alarm(s3, h.at(110) + Duration::micros(1),
+                             test::FrameworkHarness::noop_task());
+  ASSERT_EQ(h.manager_->queue(AlarmKind::kWakeup).size(), 2u);
+  EXPECT_TRUE(h.manager_->check_invariants().empty());
 }
 
 // ------------------------------------------------------------------- SIMTY

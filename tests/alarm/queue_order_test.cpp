@@ -3,7 +3,7 @@
 // produced. With slow queue checks enabled, AlarmManager::sort_queue runs
 // the stable_sort equivalence assertion after every insert; this test
 // drives a randomized register/set/cancel/rebatch/deliver workload through
-// all four policies, so any divergence throws mid-run.
+// all five policies, so any divergence throws mid-run.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include "alarm/alarm_manager.hpp"
 #include "alarm/duration_policy.hpp"
 #include "alarm/exact_policy.hpp"
+#include "alarm/fixed_interval_policy.hpp"
 #include "alarm/native_policy.hpp"
 #include "alarm/simty_policy.hpp"
 #include "common/rng.hpp"
@@ -27,8 +28,23 @@ std::unique_ptr<AlignmentPolicy> make_policy(int which) {
     case 0: return std::make_unique<ExactPolicy>();
     case 1: return std::make_unique<NativePolicy>();
     case 2: return std::make_unique<SimtyPolicy>();
-    default: return std::make_unique<DurationSimtyPolicy>();
+    case 3: return std::make_unique<DurationSimtyPolicy>();
+    default: return std::make_unique<FixedIntervalPolicy>(Duration::minutes(5));
   }
+}
+
+/// Learned hardware profiles vary, so SIMTY's Table-1 ranks (and SIMTY-DUR's
+/// hold tie-break) see real hardware and duration differences.
+hw::ComponentSet random_hardware(Rng& rng) {
+  static const hw::ComponentSet kPalette[] = {
+      hw::ComponentSet::none(),
+      hw::ComponentSet{hw::Component::kWifi},
+      hw::ComponentSet{hw::Component::kWifi, hw::Component::kCellular},
+      hw::ComponentSet{hw::Component::kWps},
+      hw::ComponentSet{hw::Component::kGps},
+      hw::ComponentSet{hw::Component::kAccelerometer},
+  };
+  return kPalette[rng.next_below(6)];
 }
 
 class QueueOrderTest : public ::testing::TestWithParam<int> {};
@@ -60,13 +76,15 @@ TEST_P(QueueOrderTest, IncrementalInsertMatchesStableSortUnderChurn) {
     spec.kind = wakeup ? AlarmKind::kWakeup : AlarmKind::kNonWakeup;
     const TimePoint nominal =
         h.sim_.now() + Duration::seconds(1 + static_cast<int>(rng.next_below(900)));
-    ids.push_back(
-        h.manager_->register_alarm(spec, nominal, test::FrameworkHarness::noop_task()));
+    ids.push_back(h.manager_->register_alarm(
+        spec, nominal,
+        test::FrameworkHarness::task(random_hardware(rng),
+                                     Duration::millis(rng.next_below(4000)))));
   }
 
   // Churn wave: re-register (the realignment path), cancel, rebatch, and
   // let the simulation deliver (repeating alarms reinsert on delivery).
-  for (int round = 0; round < 40; ++round) {
+  for (int round = 0; round < 200; ++round) {
     const std::uint32_t dice = rng.next_below(100);
     if (dice < 40) {
       const AlarmId id = ids[rng.next_below(static_cast<std::uint32_t>(ids.size()))];
@@ -92,11 +110,12 @@ std::string policy_name(const ::testing::TestParamInfo<int>& info) {
     case 0: return "Exact";
     case 1: return "Native";
     case 2: return "Simty";
-    default: return "SimtyDur";
+    case 3: return "SimtyDur";
+    default: return "Fixed";
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllPolicies, QueueOrderTest, ::testing::Values(0, 1, 2, 3),
+INSTANTIATE_TEST_SUITE_P(AllPolicies, QueueOrderTest, ::testing::Values(0, 1, 2, 3, 4),
                          policy_name);
 
 }  // namespace

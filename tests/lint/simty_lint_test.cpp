@@ -111,15 +111,6 @@ TEST(SimtyLintRules, IncludeHygiene) {
   check_fixture("include_hygiene.cpp", "src/common/fixture.cpp");
 }
 
-TEST(SimtyLintRules, QueueScanFiresOnlyInAlarmPolicyFiles) {
-  check_fixture("queue_scan.cpp", "src/alarm/fake_policy.cpp");
-  // Same content is legal outside alarm-policy files: the manager's own
-  // differential reference and non-policy code may sweep freely.
-  const std::string content = read_fixture("queue_scan.cpp");
-  EXPECT_TRUE(lint_source("src/alarm/alarm_manager.cpp", content).empty());
-  EXPECT_TRUE(lint_source("src/exp/policy_sweep.cpp", content).empty());
-}
-
 TEST(SimtyLintRules, LexerNeverFiresInsideCommentsOrLiterals) {
   check_fixture("clean.cpp", "src/alarm/fixture.cpp");
 }
@@ -294,10 +285,9 @@ TEST(SimtyLintApi, JsonReportEscapesAndCounts) {
 
 TEST(SimtyLintApi, RuleNamesStable) {
   const auto& names = rule_names();
-  EXPECT_EQ(names.size(), 12u);
+  EXPECT_EQ(names.size(), 11u);
   EXPECT_NE(std::find(names.begin(), names.end(), "wall-clock"), names.end());
   EXPECT_NE(std::find(names.begin(), names.end(), "unordered-iter"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "queue-scan"), names.end());
   EXPECT_NE(std::find(names.begin(), names.end(), "hot-path-owning"), names.end());
 }
 

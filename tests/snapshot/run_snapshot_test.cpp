@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 #include "exp/run.hpp"
@@ -308,6 +309,48 @@ TEST(RunSnapshotTest, RestoreRejectsHorizonMismatch) {
   longer.duration = Duration::hours(3);
   exp::Run other(longer);
   EXPECT_THROW(other.restore_snapshot(snap), std::logic_error);
+}
+
+/// Little-endian unsigned integer of `width` bytes at `at`.
+std::uint64_t read_le(const std::string& bytes, std::size_t at, int width) {
+  std::uint64_t v = 0;
+  for (int i = width - 1; i >= 0; --i) {
+    v = (v << 8) | static_cast<unsigned char>(bytes.at(at + static_cast<std::size_t>(i)));
+  }
+  return v;
+}
+
+/// Rewrites the recorded schema version of every section of a snapshot
+/// container (layout in snapshot/snapshot.hpp); payloads stay untouched.
+std::string with_section_version(std::string bytes, std::uint32_t version) {
+  std::size_t pos = 8 + 4;  // magic, format version
+  const std::uint64_t count = read_le(bytes, pos, 4);
+  pos += 4;
+  for (std::uint64_t s = 0; s < count; ++s) {
+    pos += 4 + read_le(bytes, pos, 4);  // name
+    for (std::size_t i = 0; i < 4; ++i) {
+      bytes.at(pos + i) = static_cast<char>((version >> (8 * i)) & 0xff);
+    }
+    pos += 4;
+    pos += 8 + read_le(bytes, pos, 8);  // payload
+  }
+  EXPECT_EQ(pos, bytes.size());
+  return bytes;
+}
+
+TEST(RunSnapshotTest, RestoreRejectsVersion2Sections) {
+  // Version 2 alarms sections carried two per-queue counters that version 3
+  // dropped; an old snapshot must fail loudly instead of being misread.
+  const ExperimentConfig config = base_config(PolicyKind::kSimty);
+  exp::Run first(config);
+  first.advance_to_quiescent(TimePoint::origin() + Duration::minutes(30));
+  const std::string snap = first.save_snapshot();
+
+  exp::Run same(config);
+  EXPECT_NO_THROW(same.restore_snapshot(with_section_version(snap, 3)));
+  exp::Run old(config);
+  EXPECT_THROW(old.restore_snapshot(with_section_version(snap, 2)),
+               std::logic_error);
 }
 
 TEST(RunSnapshotTest, SaveRequiresQuiescence) {

@@ -379,69 +379,6 @@ void rule_assert(Ctx& ctx) {
   }
 }
 
-/// Alignment-policy files must route selection through the BatchIndex
-/// candidate path; a direct O(n) sweep of the batch queue — a for loop
-/// bounded by `queue.size()`/`queue->size()` or a range-for over `queue` —
-/// turns every insert into a full scan. Deliberate linear reference
-/// implementations carry an allow() comment.
-void rule_queue_scan(Ctx& ctx) {
-  const std::string_view joined = ctx.joined;
-  for_each_word(joined, "for", [&](std::size_t pos) {
-    std::size_t p = skip_ws(joined, pos + 3);
-    if (p >= joined.size() || joined[p] != '(') return;
-    int depth = 0;
-    std::size_t close = std::string_view::npos;
-    std::size_t colon = std::string_view::npos;
-    bool classic = false;
-    for (std::size_t i = p; i < joined.size(); ++i) {
-      const char c = joined[i];
-      if (c == '(') ++depth;
-      else if (c == ')') {
-        if (--depth == 0) { close = i; break; }
-      } else if (depth == 1 && c == ';') {
-        classic = true;
-      } else if (depth == 1 && c == ':' && colon == std::string_view::npos) {
-        if ((i > 0 && joined[i - 1] == ':') ||
-            (i + 1 < joined.size() && joined[i + 1] == ':')) {
-          continue;  // `::` qualifier
-        }
-        colon = i;
-      }
-    }
-    if (close == std::string_view::npos) return;
-    bool scan = false;
-    if (classic) {
-      // `queue.size()` / `queue->size()` somewhere in the loop header.
-      const std::string_view header = joined.substr(p, close - p + 1);
-      for_each_word(header, "queue", [&](std::size_t qpos) {
-        std::size_t q = skip_ws(header, qpos + 5);
-        if (q < header.size() && header[q] == '.') {
-          ++q;
-        } else if (q + 1 < header.size() && header[q] == '-' && header[q + 1] == '>') {
-          q += 2;
-        } else {
-          return;
-        }
-        q = skip_ws(header, q);
-        std::size_t e = 0;
-        if (read_ident(header, q, &e) != "size") return;
-        e = skip_ws(header, e);
-        if (e < header.size() && header[e] == '(') scan = true;
-      });
-    } else if (colon != std::string_view::npos) {
-      const std::string_view range = joined.substr(colon + 1, close - colon - 1);
-      if (has_word(range, "queue")) scan = true;
-    }
-    if (scan) {
-      ctx.emit(ctx.line_of(pos), "queue-scan",
-               "O(n) sweep of the batch queue in a policy file; route "
-               "selection through the BatchIndex candidate path "
-               "(candidate_query/select_among), or mark a deliberate linear "
-               "reference with an allow comment");
-    }
-  });
-}
-
 /// Hot-path files own their storage through the arena-backed types (Arena,
 /// ArenaVector, EventFn): a std::vector/map/... or std::function declared
 /// here heap-allocates on growth and defeats the O(1) whole-run arena
@@ -534,7 +471,7 @@ const std::vector<std::string>& rule_names() {
   static const std::vector<std::string> kNames = {
       "wall-clock", "raw-rand",     "std-hash",     "unordered-iter",
       "float-time", "std-function", "string-label", "assert",
-      "pragma-once", "include-hygiene", "queue-scan", "hot-path-owning"};
+      "pragma-once", "include-hygiene", "hot-path-owning"};
   return kNames;
 }
 
@@ -594,14 +531,6 @@ std::vector<Finding> lint_source(std::string_view rel_path, std::string_view con
   }
   if (under_any(ctx.path, opts.owning_hot_path_prefixes)) {
     rule_hot_path_owning(ctx, hot);
-  }
-  // Alignment-policy files only: src/alarm sources whose name marks them as
-  // a policy implementation.
-  static const std::vector<std::string> kAlarmPrefix = {"src/alarm"};
-  const std::string base = ctx.path.substr(ctx.path.find_last_of('/') + 1);
-  if (under_any(ctx.path, kAlarmPrefix) &&
-      base.find("policy") != std::string::npos) {
-    rule_queue_scan(ctx);
   }
 
   std::sort(out.begin(), out.end(), [](const Finding& a, const Finding& b) {
