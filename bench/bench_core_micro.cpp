@@ -1,28 +1,25 @@
 // Microbenchmark of the discrete-event core hot path.
 //
 // Three implementations run the same churn workloads:
-//   soa  — the production sim::EventQueue (struct-of-arrays 4-ary heap:
-//          dense 16-byte keys with the payload slot packed into the order
-//          word, armed-bitset tombstone pruning, pop_batch same-instant
-//          drain).
-//   aos  — bench/reference_event_queue.hpp, the pre-SoA queue retained
-//          verbatim (interleaved heap items, armed flag inside the fat
-//          slot record, indirect-call EventFn moves). Same machine, same
-//          compiler: the soa/aos ratio is the PR's speedup, and CI gates
-//          it absolutely.
+//   soa  — the production sim::EventQueue: a 4-ary min-heap of
+//          {time, priority|seq, slot} nodes over a slab of slots
+//          (callback, label, generation, free-list link, armed flag),
+//          carved from a per-shard arena. The record name predates the
+//          current layout and is kept so the baseline file still matches.
+//   aos  — bench/reference_event_queue.hpp, an older queue retained
+//          verbatim: the same heap-over-slab design with swap-based sifts,
+//          std::vector storage and an indirect-call EventFn. Same machine,
+//          same compiler: the soa/aos ratio is gated by CI.
 //   map  — the original std::map queue (node allocation per event,
 //          std::function callback, std::string label), kept for scale.
 //
 // The churn legs run two regimes. The deep legs (churn-pop, churn-cancel,
-// burst-pop) keep ~1M events pending — the aggregate fleet population (10k
-// devices x ~100 pending alarms/timers each) that bench_fleet_scale pushes
-// through per tick — where every sift level is a dependent cache miss and
-// the dense-key layout pays: one 64-byte line per sibling group, prefetched
-// a level ahead, versus two-plus unprefetched lines plus a fat-slab touch
-// for the aos baseline. The shallow leg (shallow-pop, 4k pending) is the
-// single-device regime where both heaps sit in L2 and layout is nearly
-// irrelevant; it is tracked to prove the SoA rewrite did not regress the
-// cache-resident path, not to show a win.
+// burst-pop) keep up to ~1M events pending, where every sift level is a
+// dependent cache miss. No shipped workload gets there: each simulated
+// device has its own queue of tens of events. The shallow leg
+// (shallow-pop, 4k pending) keeps both heaps in L2. The two queues share
+// one design, so the ratios sit near parity; the gate catches a
+// complexity regression, not a missing speedup.
 //
 // `--json <path>` writes BENCH_core.json-style records (see bench_json.hpp);
 // `speedup/*` records carry the soa-vs-aos ratio in the events_per_sec
@@ -36,6 +33,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "alarm/alarm_manager.hpp"
@@ -67,9 +65,9 @@ class MapQueue {
  public:
   using Callback = std::function<void()>;
 
-  std::uint64_t schedule(TimePoint when, int priority, Callback cb,
+  std::uint64_t schedule(TimePoint when, sim::EventPriority priority, Callback cb,
                          std::string label = "") {
-    const Key key{when.us(), priority, next_seq_++};
+    const Key key{when.us(), static_cast<int>(priority), next_seq_++};
     events_.emplace(key, Entry{std::move(cb), std::move(label), key.seq});
     index_.emplace(key.seq, key);
     return key.seq;
@@ -117,59 +115,60 @@ class MapQueue {
 };
 
 constexpr std::size_t kChurnEvents = 1'000'000;
-constexpr std::size_t kDeepWindow = 1u << 20;    // fleet-aggregate population
-constexpr std::size_t kShallowWindow = 4'096;    // single-device population
+constexpr std::size_t kDeepWindow = 1u << 20;    // cache-miss-bound depth
+constexpr std::size_t kShallowWindow = 4'096;    // L2-resident depth
 
 // Steady-state schedule/pop churn: keep `window` events pending, pop the
 // earliest and schedule a replacement, kChurnEvents times. `sink`
 // accumulates into a volatile so the callbacks cannot be optimized out.
 // The prefill is outside the timed region: the legs measure steady-state
 // churn at depth, not heap growth.
-template <typename Schedule, typename Pop>
-double churn_schedule_pop(std::size_t window, Schedule schedule, Pop pop) {
+template <typename Queue>
+double churn_schedule_pop(Queue& q, std::size_t window) {
   Rng rng(1234);
   volatile std::uint64_t sink = 0;
   std::int64_t now_us = 0;
   for (std::size_t i = 0; i < window; ++i) {
-    schedule(TimePoint::from_us(now_us + rng.next_below(60'000'000)),
-             static_cast<int>(rng.next_below(4)), [&sink] { sink = sink + 1; });
+    q.schedule(TimePoint::from_us(now_us + rng.next_below(60'000'000)),
+               static_cast<sim::EventPriority>(rng.next_below(4)),
+               [&sink] { sink = sink + 1; }, "churn");
   }
   const auto start = Clock::now();
   for (std::size_t i = 0; i < kChurnEvents; ++i) {
-    auto fired = pop();
+    auto fired = q.pop();
     fired.callback();
     now_us = fired.when.us();
-    schedule(TimePoint::from_us(now_us + 1 + rng.next_below(60'000'000)),
-             static_cast<int>(rng.next_below(4)), [&sink] { sink = sink + 1; });
+    q.schedule(TimePoint::from_us(now_us + 1 + rng.next_below(60'000'000)),
+               static_cast<sim::EventPriority>(rng.next_below(4)),
+               [&sink] { sink = sink + 1; }, "churn");
   }
   return ms_since(start);
 }
 
 // Schedule/cancel churn against a deep pending window: `window` long-lived
-// events keep the heap at fleet-aggregate depth while each round schedules
-// two near-term events, cancels one of the two, and pops one — the
-// tombstone/prune path under load vs. map erase. Every near-term schedule
-// sifts up through the full depth past the far-future backlog.
-template <typename Schedule, typename Cancel, typename Pop>
-double churn_schedule_cancel(std::size_t window, Schedule schedule, Cancel cancel,
-                             Pop pop) {
+// events keep the heap deep while each round schedules two near-term
+// events, cancels one of the two, and pops one — the tombstone/prune path
+// under load vs. map erase. Every near-term schedule sifts up through the
+// full depth past the far-future backlog.
+template <typename Queue>
+double churn_schedule_cancel(Queue& q, std::size_t window) {
+  constexpr auto kPri = sim::EventPriority::kFramework;
   Rng rng(99);
   volatile std::uint64_t sink = 0;
   std::int64_t now_us = 0;
   for (std::size_t i = 0; i < window; ++i) {
-    schedule(TimePoint::from_us(now_us + 2'000'000 + rng.next_below(600'000'000)), 1,
-             [&sink] { sink = sink + 1; });
+    q.schedule(TimePoint::from_us(now_us + 2'000'000 + rng.next_below(600'000'000)), kPri,
+               [&sink] { sink = sink + 1; }, "churn");
   }
   const auto start = Clock::now();
   for (std::size_t i = 0; i < kChurnEvents / 2; ++i) {
-    const auto keep = schedule(TimePoint::from_us(now_us + 1 + rng.next_below(1'000'000)),
-                               1, [&sink] { sink = sink + 1; });
-    const auto victim = schedule(
-        TimePoint::from_us(now_us + 1 + rng.next_below(1'000'000)), 1,
-        [&sink] { sink = sink + 1; });
+    const auto keep = q.schedule(TimePoint::from_us(now_us + 1 + rng.next_below(1'000'000)),
+                                 kPri, [&sink] { sink = sink + 1; }, "churn");
+    const auto victim = q.schedule(TimePoint::from_us(now_us + 1 + rng.next_below(1'000'000)),
+                                   kPri, [&sink] { sink = sink + 1; }, "churn");
     // Cancel one of the pair (alternating which) and pop the earliest.
-    cancel(i % 2 == 0 ? victim : keep);
-    auto fired = pop();
+    q.cancel(i % 2 == 0 ? victim : keep);
+    auto fired = q.pop();
     fired.callback();
     now_us = fired.when.us();
   }
@@ -183,28 +182,30 @@ constexpr std::size_t kBurstBackground = 1u << 16;  // far-future pending depth
 // Same-instant burst churn over a deep backlog: kBurstBackground far-future
 // events hold the heap at depth, then every round schedules kBurstSize
 // events sharing one (time, priority) firing group and drains them all.
-// The soa queue coalesces the drain with pop_batch — one multi-delete pass
-// detaches the whole group — while the aos queue pays a full-depth
-// sift-down per event.
-template <typename Schedule, typename Drain>
-double churn_burst(Schedule schedule, Drain drain) {
+// Both queues drain the group with one pop (and one sift-down) per event.
+template <typename Queue>
+double churn_burst(Queue& q) {
+  constexpr auto kPri = sim::EventPriority::kFramework;
   Rng rng(4321);
   volatile std::uint64_t sink = 0;
   std::int64_t now_us = 0;
   for (std::size_t i = 0; i < kBurstBackground; ++i) {
     // 600s+ out: the burst rounds advance `now` ~8s total, so no
     // background event ever fires during the leg.
-    schedule(TimePoint::from_us(600'000'000 +
-                                static_cast<std::int64_t>(rng.next_below(600'000'000))),
-             1, [&sink] { sink = sink + 1; });
+    q.schedule(TimePoint::from_us(600'000'000 +
+                                  static_cast<std::int64_t>(rng.next_below(600'000'000))),
+               kPri, [&sink] { sink = sink + 1; }, "burst");
   }
   const auto start = Clock::now();
   for (std::size_t r = 0; r < kBurstRounds; ++r) {
     now_us += 1 + static_cast<std::int64_t>(rng.next_below(1'000'000));
     for (std::size_t i = 0; i < kBurstSize; ++i) {
-      schedule(TimePoint::from_us(now_us), 1, [&sink] { sink = sink + 1; });
+      q.schedule(TimePoint::from_us(now_us), kPri, [&sink] { sink = sink + 1; }, "burst");
     }
-    drain(kBurstSize);
+    for (std::size_t i = 0; i < kBurstSize; ++i) {
+      auto fired = q.pop();
+      fired.callback();
+    }
   }
   return ms_since(start);
 }
@@ -248,88 +249,19 @@ AlarmChurnResult churn_alarm_queue(std::unique_ptr<alarm::AlignmentPolicy> polic
   return out;
 }
 
-// The soa legs run the queue exactly as a fleet shard does: carved from a
-// per-shard bump arena (hugepage-advised blocks, O(1) reset between runs).
-double run_pop_leg_soa(std::size_t window) {
-  common::Arena arena;
-  sim::EventQueue q(&arena);
-  return churn_schedule_pop(
-      window,
-      [&](TimePoint when, int pri, auto cb) {
-        q.schedule(when, static_cast<sim::EventPriority>(pri), std::move(cb), "churn");
-      },
-      [&] { return q.pop(); });
-}
-
-double run_pop_leg_aos(std::size_t window) {
-  bench::ReferenceEventQueue q;
-  return churn_schedule_pop(
-      window,
-      [&](TimePoint when, int pri, auto cb) {
-        q.schedule(when, static_cast<sim::EventPriority>(pri), std::move(cb), "churn");
-      },
-      [&] { return q.pop(); });
-}
-
-double run_pop_leg_map(std::size_t window) {
-  MapQueue q;
-  return churn_schedule_pop(
-      window,
-      [&](TimePoint when, int pri, auto cb) { q.schedule(when, pri, std::move(cb), "churn"); },
-      [&] { return q.pop(); });
-}
-
-double run_cancel_leg_soa(std::size_t window) {
-  common::Arena arena;
-  sim::EventQueue q(&arena);
-  return churn_schedule_cancel(
-      window,
-      [&](TimePoint when, int pri, auto cb) {
-        return q.schedule(when, static_cast<sim::EventPriority>(pri), std::move(cb), "churn");
-      },
-      [&](sim::EventId id) { return q.cancel(id); }, [&] { return q.pop(); });
-}
-
-double run_cancel_leg_aos(std::size_t window) {
-  bench::ReferenceEventQueue q;
-  return churn_schedule_cancel(
-      window,
-      [&](TimePoint when, int pri, auto cb) {
-        return q.schedule(when, static_cast<sim::EventPriority>(pri), std::move(cb), "churn");
-      },
-      [&](sim::EventId id) { return q.cancel(id); }, [&] { return q.pop(); });
-}
-
-double run_burst_leg_soa() {
-  common::Arena arena;
-  sim::EventQueue q(&arena);
-  return churn_burst(
-      [&](TimePoint when, int pri, auto cb) {
-        q.schedule(when, static_cast<sim::EventPriority>(pri), std::move(cb), "burst");
-      },
-      [&](std::size_t n) {
-        // One coalesced root-fix pass stages the whole firing group.
-        const std::size_t staged = q.pop_batch();
-        (void)staged;
-        for (std::size_t i = 0; i < n; ++i) {
-          auto fired = q.pop();
-          fired.callback();
-        }
-      });
-}
-
-double run_burst_leg_aos() {
-  bench::ReferenceEventQueue q;
-  return churn_burst(
-      [&](TimePoint when, int pri, auto cb) {
-        q.schedule(when, static_cast<sim::EventPriority>(pri), std::move(cb), "burst");
-      },
-      [&](std::size_t n) {
-        for (std::size_t i = 0; i < n; ++i) {
-          auto fired = q.pop();
-          fired.callback();
-        }
-      });
+// Runs `leg` on a fresh queue. The production queue is carved from a bump
+// arena exactly as a fleet shard does (hugepage-advised blocks, O(1) reset
+// between runs).
+template <typename Queue, typename Leg>
+double run_leg(Leg leg) {
+  if constexpr (std::is_same_v<Queue, sim::EventQueue>) {
+    common::Arena arena;
+    sim::EventQueue q(&arena);
+    return leg(q);
+  } else {
+    Queue q;
+    return leg(q);
+  }
 }
 
 }  // namespace
@@ -362,32 +294,36 @@ int main(int argc, char** argv) {
     return ratio;
   };
 
-  // -- deep schedule/pop churn (fleet-aggregate population) ------------------
-  const double pop_soa = run_pop_leg_soa(kDeepWindow);
-  const double pop_aos = run_pop_leg_aos(kDeepWindow);
+  // -- deep schedule/pop churn ----------------------------------------------
+  const auto deep_pop = [](auto& q) { return churn_schedule_pop(q, kDeepWindow); };
+  const double pop_soa = run_leg<sim::EventQueue>(deep_pop);
+  const double pop_aos = run_leg<bench::ReferenceEventQueue>(deep_pop);
   record("churn-pop", "soa", pop_soa, static_cast<double>(kChurnEvents));
   record("churn-pop", "aos", pop_aos, static_cast<double>(kChurnEvents));
   const double pop_speedup = record_speedup("churn-pop", pop_soa, pop_aos);
 
   // -- deep schedule/cancel churn --------------------------------------------
-  const double cancel_soa = run_cancel_leg_soa(kDeepWindow);
-  const double cancel_aos = run_cancel_leg_aos(kDeepWindow);
+  const auto deep_cancel = [](auto& q) { return churn_schedule_cancel(q, kDeepWindow); };
+  const double cancel_soa = run_leg<sim::EventQueue>(deep_cancel);
+  const double cancel_aos = run_leg<bench::ReferenceEventQueue>(deep_cancel);
   record("churn-cancel", "soa", cancel_soa, static_cast<double>(kChurnEvents));
   record("churn-cancel", "aos", cancel_aos, static_cast<double>(kChurnEvents));
   const double cancel_speedup = record_speedup("churn-cancel", cancel_soa, cancel_aos);
 
   // -- same-instant burst churn over a deep backlog --------------------------
   const double burst_events = static_cast<double>(kBurstSize * kBurstRounds);
-  const double burst_soa = run_burst_leg_soa();
-  const double burst_aos = run_burst_leg_aos();
+  const auto burst = [](auto& q) { return churn_burst(q); };
+  const double burst_soa = run_leg<sim::EventQueue>(burst);
+  const double burst_aos = run_leg<bench::ReferenceEventQueue>(burst);
   record("burst-pop", "soa", burst_soa, burst_events);
   record("burst-pop", "aos", burst_aos, burst_events);
   const double burst_speedup = record_speedup("burst-pop", burst_soa, burst_aos);
 
-  // -- shallow schedule/pop churn (single-device population) -----------------
-  const double shallow_soa = run_pop_leg_soa(kShallowWindow);
-  const double shallow_aos = run_pop_leg_aos(kShallowWindow);
-  const double shallow_map = run_pop_leg_map(kShallowWindow);
+  // -- shallow schedule/pop churn -------------------------------------------
+  const auto shallow_pop = [](auto& q) { return churn_schedule_pop(q, kShallowWindow); };
+  const double shallow_soa = run_leg<sim::EventQueue>(shallow_pop);
+  const double shallow_aos = run_leg<bench::ReferenceEventQueue>(shallow_pop);
+  const double shallow_map = run_leg<MapQueue>(shallow_pop);
   record("shallow-pop", "soa", shallow_soa, static_cast<double>(kChurnEvents));
   record("shallow-pop", "aos", shallow_aos, static_cast<double>(kChurnEvents));
   record("shallow-pop", "map", shallow_map, static_cast<double>(kChurnEvents));

@@ -8,10 +8,10 @@ namespace simty::common {
 
 namespace {
 
-// Arena blocks back large, long-lived, randomly accessed arrays (the SoA
-// heap keys and payload slabs). At fleet-aggregate depth those arrays span
-// tens of megabytes, so with 4K pages nearly every sift level is a TLB miss
-// on top of the cache miss. On Linux with THP in madvise mode, advising the
+// Arena blocks back large, long-lived, randomly accessed arrays (the event
+// heap and slot slab). At fleet-aggregate depth those arrays span tens of
+// megabytes, so with 4K pages nearly every sift level is a TLB miss on top
+// of the cache miss. On Linux with THP in madvise mode, advising the
 // page-aligned interior of each block upgrades it to 2M pages. Best-effort:
 // any error (THP disabled, range too small) is deliberately ignored.
 void advise_huge_pages(std::byte* p, std::size_t bytes) {

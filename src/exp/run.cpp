@@ -67,7 +67,8 @@ int wire_listeners(hw::PowerBus& bus, power::EnergyAccountant& accountant,
 // changes so old snapshots fail loudly instead of misparsing.
 // v2: hw::Component gained kWur (accountant per-component array grew).
 // v3: the alarms section no longer carries per-queue index counters.
-constexpr std::uint32_t kSectionVersion = 3;
+// v4: the sim section stores heap nodes and slots, with no staged batch.
+constexpr std::uint32_t kSectionVersion = 4;
 
 }  // namespace
 

@@ -66,69 +66,34 @@ const char* intern_label(std::string_view label) {
 
 EventQueue::EventQueue() : EventQueue(nullptr) {}
 
-EventQueue::EventQueue(common::Arena* arena)
-    : keys_(arena), callbacks_(arena), meta_(arena), armed_words_(arena),
-      staged_words_(arena), staged_(arena), scratch_pos_(arena),
-      scratch_stack_(arena) {
-  // Physical indices 0..kRoot-1 are padding so sibling groups are
-  // cache-line-aligned; their keys are never read.
-  keys_.resize(kRoot);
-}
+EventQueue::EventQueue(common::Arena* arena) : heap_(arena), slab_(arena) {}
 
 EventId EventQueue::schedule(TimePoint when, EventPriority priority, EventFn cb,
                              const char* label) {
   SIMTY_CHECK_MSG(static_cast<bool>(cb), "EventQueue::schedule: empty callback");
   const std::uint64_t seq = next_seq_++;
-  SIMTY_CHECK_MSG(seq <= kMaxSeq, "EventQueue: sequence space exhausted");
-  std::uint32_t idx = free_head_;
-  if (idx != kNilSlot) {
-    // Recycled slot: its slab lines are cold after a long churn. Kick off
-    // both loads, run the sift-up while they are in flight, and only then
-    // touch the slab (the free-list link lives in the meta line just
-    // fetched).
-    __builtin_prefetch(&callbacks_[idx], 1);
-    __builtin_prefetch(&meta_[idx], 1);
-    heap_push(Key{static_cast<std::uint64_t>(when.us()) ^ kWhenBias,
-                  (static_cast<std::uint64_t>(priority) << 60) | (seq << 32) | idx});
-    free_head_ = meta_[idx].next_free;
-    meta_[idx].next_free = kNilSlot;
-  } else {
-    idx = acquire_slot();
-    heap_push(Key{static_cast<std::uint64_t>(when.us()) ^ kWhenBias,
-                  (static_cast<std::uint64_t>(priority) << 60) | (seq << 32) | idx});
-  }
-  callbacks_[idx] = std::move(cb);
-  meta_[idx].label = label != nullptr ? label : "";
-  set_armed(idx);
+  SIMTY_CHECK_MSG(seq < kSeqLimit, "EventQueue: sequence space exhausted");
+  const std::uint32_t idx = acquire_slot();
+  Slot& s = slab_[idx];
+  s.callback = std::move(cb);
+  s.label = label != nullptr ? label : "";
+  s.armed = true;
+  heap_push(Node{when.us(), (static_cast<std::uint64_t>(priority) << 60) | seq, idx});
   ++live_;
-  return EventId{(static_cast<std::uint64_t>(meta_[idx].generation) << 32) | idx};
+  return EventId{(static_cast<std::uint64_t>(s.generation) << 32) | idx};
 }
 
 bool EventQueue::cancel(EventId id) {
   const auto idx = static_cast<std::uint32_t>(id.value & 0xffffffffu);
   const auto gen = static_cast<std::uint32_t>(id.value >> 32);
-  if (idx >= callbacks_.size()) return false;
-  if (!armed(idx) || meta_[idx].generation != gen) return false;
-  if (staged_bit(idx)) {
-    // The event was already detached from the heap by pop_batch(): drop it
-    // from the staged buffer and recycle the slot immediately (it was at or
-    // next to the root, which is when the old root-prune would have run).
-    for (std::size_t i = staged_next_; i < staged_.size(); ++i) {
-      if (staged_[i].slot == idx) {
-        staged_[i].slot = kNilSlot;
-        break;
-      }
-    }
-    clear_staged_bit(idx);
-    release_slot(idx);
-    --live_;
-    return true;
-  }
+  if (idx >= slab_.size()) return false;
+  Slot& s = slab_[idx];
+  if (!s.armed || s.generation != gen) return false;
   // Lazy cancellation: tombstone the slot; the heap node is recycled when
   // it surfaces at the root. Drop the callback now so captured resources
   // are released at cancel time, not at some later pop.
-  clear_armed(idx);
-  callbacks_[idx].reset();
+  s.armed = false;
+  s.callback.reset();
   --live_;
   prune_root();
   return true;
@@ -136,283 +101,105 @@ bool EventQueue::cancel(EventId id) {
 
 TimePoint EventQueue::next_time() const {
   SIMTY_CHECK_MSG(live_ > 0, "EventQueue::next_time on empty queue");
-  // Skip recycled/tombstoned staged entries without mutating (sync_staged
-  // does the actual recycling on the next pop/has_staged call).
-  std::size_t i = staged_next_;
-  while (i < staged_.size() &&
-         (staged_[i].slot == kNilSlot || !armed(staged_[i].slot))) {
-    ++i;
-  }
-  if (i < staged_.size()) {
-    // A callback may have scheduled an earlier-key event since the batch
-    // was detached; the earliest pending is the min of both sources.
-    if (heap_empty() || !key_less(keys_[kRoot], staged_[i].key)) {
-      return key_time(staged_[i].key);
-    }
-  }
-  // live_ > 0 and no live staged event => the heap root is live (prune
-  // invariant maintained after every heap mutation).
-  return key_time(keys_[kRoot]);
+  // live_ > 0 => the root is live (prune invariant after every mutation).
+  return TimePoint::from_us(heap_[0].when_us);
 }
 
 EventQueue::Fired EventQueue::pop() {
   SIMTY_CHECK_MSG(live_ > 0, "EventQueue::pop on empty queue");
-  if (sync_staged()) {
-    const Staged e = staged_[staged_next_];
-    if (heap_empty() || !key_less(keys_[kRoot], e.key)) {
-      ++staged_next_;
-      Fired fired{key_time(e.key), std::move(callbacks_[e.slot]),
-                  meta_[e.slot].label, key_priority(e.key)};
-      clear_staged_bit(e.slot);
-      release_slot(e.slot);
-      --live_;
-      return fired;
-    }
-    // A newly scheduled event outran the staged batch (same instant, higher
-    // priority): fire it first, exactly as k independent pops would.
-  }
-  return pop_root();
-}
-
-std::size_t EventQueue::pop_batch() {
-  SIMTY_CHECK_MSG(live_ > 0, "EventQueue::pop_batch on empty queue");
-  SIMTY_CHECK_MSG(!sync_staged(), "EventQueue::pop_batch with staged events pending");
-  const Key root_key = keys_[kRoot];
-  const std::size_t n = keys_.size();
-  // Fast path: no same-(time, priority) child under the root means the
-  // group is the root alone — leave it for the plain pop() path.
-  const std::size_t first = 4 * kRoot - 8;
-  const std::size_t last = std::min(first + 4, n);
-  bool multi = false;
-  for (std::size_t c = first; c < last; ++c) {
-    if (same_group(keys_[c], root_key)) {
-      multi = true;
-      break;
-    }
-  }
-  if (!multi) return 1;
-
-  // Collect the matched subtree. Every event with the root's (time,
-  // priority) is reachable from the root through matching nodes: an
-  // ancestor of a matching node has a key between the root key and the
-  // node's key, and the only keys in that range share (time, priority).
-  scratch_pos_.clear();
-  scratch_stack_.clear();
-  scratch_stack_.push_back(static_cast<std::uint32_t>(kRoot));
-  while (!scratch_stack_.empty()) {
-    const std::size_t pos = scratch_stack_.back();
-    scratch_stack_.pop_back();
-    scratch_pos_.push_back(static_cast<std::uint32_t>(pos));
-    const std::size_t cfirst = 4 * pos - 8;
-    const std::size_t clast = std::min(cfirst + 4, n);
-    for (std::size_t c = cfirst; c < clast; ++c) {
-      if (same_group(keys_[c], root_key)) {
-        scratch_stack_.push_back(static_cast<std::uint32_t>(c));
-      }
-    }
-  }
-
-  // Stage the group in sequence order. Tombstones ride along as dead
-  // entries so their slots are recycled at the same point in the hand-out
-  // sequence where the old per-pop root prune would have recycled them.
-  std::size_t live_staged = 0;
-  for (const std::uint32_t pos : scratch_pos_) {
-    staged_.push_back(Staged{keys_[pos], key_slot(keys_[pos])});
-  }
-  std::sort(staged_.begin(), staged_.end(),
-            [](const Staged& a, const Staged& b) { return a.key.order < b.key.order; });
-  for (const Staged& e : staged_) {
-    if (armed(e.slot)) {
-      set_staged_bit(e.slot);
-      ++live_staged;
-    }
-  }
-
-  // Multi-delete: remove positions in descending physical order, back-
-  // filling each hole from the heap tail. Only sift-down is needed: any
-  // not-yet-removed ancestor of a hole is itself matched, so it holds a
-  // minimal (time, priority) key that no back-filled element can undercut.
-  std::sort(scratch_pos_.begin(), scratch_pos_.end(),
-            [](std::uint32_t a, std::uint32_t b) { return a > b; });
-  for (const std::uint32_t pos : scratch_pos_) {
-    const std::size_t tail = keys_.size() - 1;
-    if (pos != tail) keys_[pos] = keys_[tail];
-    keys_.pop_back();
-    if (pos != tail) sift_down(pos);
-  }
+  const Node root = heap_[0];
+  Slot& s = slab_[root.slot];
+  Fired fired{TimePoint::from_us(root.when_us), std::move(s.callback), s.label,
+              static_cast<EventPriority>(root.order >> 60)};
+  release_slot(root.slot);
+  heap_pop_root();
+  --live_;
   prune_root();
-  return live_staged;
+  return fired;
 }
 
 std::uint32_t EventQueue::acquire_slot() {
   if (free_head_ != kNilSlot) {
     const std::uint32_t idx = free_head_;
-    free_head_ = meta_[idx].next_free;
-    meta_[idx].next_free = kNilSlot;
+    free_head_ = slab_[idx].next_free;
+    slab_[idx].next_free = kNilSlot;
     return idx;
   }
-  SIMTY_CHECK_MSG(callbacks_.size() < kNilSlot, "EventQueue: slab index space exhausted");
-  const auto idx = static_cast<std::uint32_t>(callbacks_.size());
-  callbacks_.emplace_back();
-  meta_.emplace_back();
-  if ((idx & 63u) == 0) {
-    armed_words_.push_back(0);
-    staged_words_.push_back(0);
-  }
-  return idx;
+  SIMTY_CHECK_MSG(slab_.size() < kNilSlot, "EventQueue: slab index space exhausted");
+  slab_.emplace_back();
+  return static_cast<std::uint32_t>(slab_.size() - 1);
 }
 
 void EventQueue::release_slot(std::uint32_t idx) {
-  callbacks_[idx].reset();
-  clear_armed(idx);
-  SlotMeta& m = meta_[idx];
-  m.label = "";
+  Slot& s = slab_[idx];
+  s.callback.reset();
+  s.armed = false;
+  s.label = "";
   // Invalidate every outstanding EventId naming this slot before it is
   // recycled (cancel-after-fire must return false, not hit the new tenant).
-  ++m.generation;
-  m.next_free = free_head_;
+  ++s.generation;
+  s.next_free = free_head_;
   free_head_ = idx;
 }
 
-void EventQueue::heap_push(Key key) {
-  keys_.push_back(key);
-  std::size_t pos = keys_.size() - 1;
-  if (pos > kRoot) {
-    std::size_t parent = (pos + 8) / 4;
-    if (key_less(key, keys_[parent])) {
-      // The entry ascends at least one level; a near-term event over a deep
-      // far-future backlog usually ascends most of the way. Ancestor
-      // positions are pure arithmetic — no data dependency — so issue the
-      // whole chain of prefetches now and overlap what would otherwise be
-      // one serial cache miss per level.
-      for (std::size_t a = (parent + 8) / 4; a > kRoot; a = (a + 8) / 4) {
-        __builtin_prefetch(&keys_[a]);
-      }
-      // Hole-based sift-up: shift losers down, write the new entry once.
-      do {
-        keys_[pos] = keys_[parent];
-        pos = parent;
-        parent = (pos + 8) / 4;
-      } while (pos > kRoot && key_less(key, keys_[parent]));
-    }
+void EventQueue::heap_push(Node node) {
+  // Hole-based sift-up: shift losing parents down, write the node once.
+  heap_.push_back(node);
+  std::size_t i = heap_.size() - 1;
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 4;
+    if (!node_less(node, heap_[parent])) break;
+    heap_[i] = heap_[parent];
+    i = parent;
   }
-  keys_[pos] = key;
+  heap_[i] = node;
 }
 
-void EventQueue::sift_down(std::size_t pos) {
-  const std::size_t n = keys_.size();
-  const Key key = keys_[pos];
-  const std::size_t start = pos;
-  // Bottom-up sift (Wegener's heapsort trick): the sifted key comes from
-  // the heap tail, so it almost always belongs near a leaf. Walk the
-  // min-child path all the way down without comparing against `key` —
-  // that per-level compare is the one unpredictable branch in the classic
-  // loop — then sift the key back up the hole path (expected O(1) steps).
+void EventQueue::heap_pop_root() {
+  const Node last = heap_.back();
+  heap_.pop_back();
+  const std::size_t n = heap_.size();
+  if (n == 0) return;
+  // Hole-based sift-down of the former tail from the root.
+  std::size_t i = 0;
   for (;;) {
-    const std::size_t first = 4 * pos - 8;
-    if (first + 3 < n) {
-      // The grandchildren of a sibling group are 16 contiguous keys (4
-      // cache lines): prefetch them all before picking the min child, so
-      // the next level's loads are in flight regardless of which child
-      // wins. The branchless min below serializes the descent on a cmov
-      // chain — without this prefetch each level would pay a full cache
-      // miss back to back.
-      const std::size_t grand = 4 * first - 8;
-      if (grand < n) {
-        __builtin_prefetch(&keys_[grand]);
-        __builtin_prefetch(&keys_[grand] + 4);
-        __builtin_prefetch(&keys_[grand] + 8);
-        __builtin_prefetch(&keys_[grand] + 12);
-      }
-      // Full sibling group: branchless min-of-4 on the widened keys.
-      KeyWord best_w = key_word(keys_[first]);
-      std::size_t best = first;
-      for (std::size_t c = first + 1; c < first + 4; ++c) {
-        const KeyWord w = key_word(keys_[c]);
-        const bool lt = w < best_w;
-        best = lt ? c : best;
-        best_w = lt ? w : best_w;
-      }
-      keys_[pos] = keys_[best];
-      pos = best;
-    } else if (first < n) {
-      std::size_t best = first;
-      for (std::size_t c = first + 1; c < n; ++c) {
-        if (key_less(keys_[c], keys_[best])) best = c;
-      }
-      keys_[pos] = keys_[best];
-      pos = best;
-    } else {
-      break;
+    const std::size_t first = 4 * i + 1;
+    if (first >= n) break;
+    std::size_t best = first;
+    const std::size_t end = std::min(first + 4, n);
+    for (std::size_t c = first + 1; c < end; ++c) {
+      if (node_less(heap_[c], heap_[best])) best = c;
     }
+    if (!node_less(heap_[best], last)) break;
+    heap_[i] = heap_[best];
+    i = best;
   }
-  while (pos > start) {
-    const std::size_t parent = (pos + 8) / 4;
-    if (!key_less(key, keys_[parent])) break;
-    keys_[pos] = keys_[parent];
-    pos = parent;
-  }
-  keys_[pos] = key;
-}
-
-void EventQueue::heap_remove_root() {
-  const std::size_t tail = keys_.size() - 1;
-  if (tail != kRoot) keys_[kRoot] = keys_[tail];
-  keys_.pop_back();
-  if (tail != kRoot) sift_down(kRoot);
+  heap_[i] = last;
 }
 
 void EventQueue::prune_root() {
-  while (!heap_empty() && !armed(key_slot(keys_[kRoot]))) {
-    release_slot(key_slot(keys_[kRoot]));
-    heap_remove_root();
+  while (!heap_.empty() && !slab_[heap_[0].slot].armed) {
+    release_slot(heap_[0].slot);
+    heap_pop_root();
   }
-}
-
-bool EventQueue::sync_staged() {
-  while (staged_next_ < staged_.size()) {
-    Staged& e = staged_[staged_next_];
-    if (e.slot != kNilSlot) {
-      if (armed(e.slot)) return true;
-      // Tombstone carried into the batch: recycle it now, preserving the
-      // release order the per-pop prune would have produced.
-      release_slot(e.slot);
-      e.slot = kNilSlot;
-    }
-    ++staged_next_;
-  }
-  if (staged_next_ != 0) {
-    staged_.clear();
-    staged_next_ = 0;
-  }
-  return false;
 }
 
 void EventQueue::save(snapshot::Writer& w) const {
-  // Heap keys verbatim (minus the kRoot alignment padding): the restored
-  // array is byte-for-byte the live one, so the resumed pop order is
-  // trivially the straight run's.
-  w.u64(keys_.size() - kRoot);
-  for (std::size_t i = kRoot; i < keys_.size(); ++i) {
-    w.u64(keys_[i].when_biased);
-    w.u64(keys_[i].order);
+  // Heap nodes verbatim: the restored array is the live one, so the resumed
+  // pop order is trivially the straight run's.
+  w.u64(heap_.size());
+  for (const Node& n : heap_) {
+    w.i64(n.when_us);
+    w.u64(n.order);
+    w.u32(n.slot);
   }
-  w.u64(callbacks_.size());
-  for (std::size_t i = 0; i < callbacks_.size(); ++i) {
-    w.str(meta_[i].label);
-    w.u32(meta_[i].generation);
-    w.u32(meta_[i].next_free);
+  w.u64(slab_.size());
+  for (const Slot& s : slab_) {
+    w.str(s.label);
+    w.u32(s.generation);
+    w.u32(s.next_free);
+    w.boolean(s.armed);
   }
-  w.u64(armed_words_.size());
-  for (std::size_t i = 0; i < armed_words_.size(); ++i) w.u64(armed_words_[i]);
-  for (std::size_t i = 0; i < staged_words_.size(); ++i) w.u64(staged_words_[i]);
-  w.u64(staged_.size());
-  for (std::size_t i = 0; i < staged_.size(); ++i) {
-    w.u64(staged_[i].key.when_biased);
-    w.u64(staged_[i].key.order);
-    w.u32(staged_[i].slot);
-  }
-  w.u64(staged_next_);
   w.u32(free_head_);
   w.u64(next_seq_);
   w.u64(live_);
@@ -421,121 +208,86 @@ void EventQueue::save(snapshot::Writer& w) const {
 void EventQueue::restore(snapshot::SectionReader& s) {
   // Wholesale replacement: anything the owner scheduled during (re)construction
   // is discarded along with its slots.
-  keys_.clear();
-  keys_.resize(kRoot);
-  callbacks_.clear();
-  meta_.clear();
-  armed_words_.clear();
-  staged_words_.clear();
-  staged_.clear();
+  heap_.clear();
+  slab_.clear();
 
   const std::uint64_t heap_n = s.u64();
-  s.check_count(heap_n, 2 * 9);  // two tagged u64 per key
+  s.check_count(heap_n, 2 * 9 + 5);  // tagged i64 + u64 + u32 per node
   for (std::uint64_t i = 0; i < heap_n; ++i) {
-    const std::uint64_t when_biased = s.u64();
-    const std::uint64_t order = s.u64();
-    keys_.push_back(Key{when_biased, order});
-  }
-  const std::uint64_t slots = s.u64();
-  s.check_count(slots, 9 + 2 * 5);  // str tag+len + two tagged u32 per slot
-  SIMTY_CHECK_MSG(slots < kNilSlot, "EventQueue::restore: slot count out of range");
-  for (std::uint64_t i = 0; i < slots; ++i) {
-    // Cold path: restore runs once per resume, never per event.
-    const std::string label = s.str();  // simty-lint: allow(string-label)
-    const std::uint32_t generation = s.u32();
-    const std::uint32_t next_free = s.u32();
-    SIMTY_CHECK_MSG(next_free == kNilSlot || next_free < slots,
-                    "EventQueue::restore: free-list link out of range");
-    callbacks_.emplace_back();
-    meta_.emplace_back();
-    meta_[i].label = label.empty() ? "" : intern_label(label);
-    meta_[i].generation = generation;
-    meta_[i].next_free = next_free;
-  }
-  const std::uint64_t words = s.u64();
-  SIMTY_CHECK_MSG(words == (slots + 63) / 64,
-                  "EventQueue::restore: bit-word count mismatch");
-  s.check_count(words, 2 * 9);
-  for (std::uint64_t i = 0; i < words; ++i) armed_words_.push_back(s.u64());
-  for (std::uint64_t i = 0; i < words; ++i) staged_words_.push_back(s.u64());
-  const std::uint64_t staged_n = s.u64();
-  s.check_count(staged_n, 2 * 9 + 5);
-  for (std::uint64_t i = 0; i < staged_n; ++i) {
-    const std::uint64_t when_biased = s.u64();
+    const std::int64_t when_us = s.i64();
     const std::uint64_t order = s.u64();
     const std::uint32_t slot = s.u32();
-    SIMTY_CHECK_MSG(slot == kNilSlot || slot < slots,
-                    "EventQueue::restore: staged slot out of range");
-    staged_.push_back(Staged{Key{when_biased, order}, slot});
+    heap_.push_back(Node{when_us, order, slot});
   }
-  staged_next_ = static_cast<std::size_t>(s.u64());
-  SIMTY_CHECK_MSG(staged_next_ <= staged_.size(),
-                  "EventQueue::restore: staged cursor out of range");
+  const std::uint64_t slots = s.u64();
+  s.check_count(slots, 9 + 2 * 5 + 2);  // str tag+len, two u32, one bool
+  SIMTY_CHECK_MSG(slots < kNilSlot, "EventQueue::restore: slot count out of range");
+  slab_.resize(static_cast<std::size_t>(slots));
+  for (Slot& slot : slab_) {
+    // Cold path: restore runs once per resume, never per event.
+    const std::string label = s.str();  // simty-lint: allow(string-label)
+    slot.label = label.empty() ? "" : intern_label(label);
+    slot.generation = s.u32();
+    slot.next_free = s.u32();
+    slot.armed = s.boolean();
+    SIMTY_CHECK_MSG(slot.next_free == kNilSlot || slot.next_free < slots,
+                    "EventQueue::restore: free-list link out of range");
+  }
   free_head_ = s.u32();
   SIMTY_CHECK_MSG(free_head_ == kNilSlot || free_head_ < slots,
                   "EventQueue::restore: free head out of range");
   next_seq_ = s.u64();
-  SIMTY_CHECK_MSG(next_seq_ >= 1 && next_seq_ <= kMaxSeq + 1,
+  SIMTY_CHECK_MSG(next_seq_ >= 1 && next_seq_ < kSeqLimit,
                   "EventQueue::restore: sequence counter out of range");
   live_ = static_cast<std::size_t>(s.u64());
 
-  // Cross-checks: every heap/staged slot reference must be in range, the
-  // free list must terminate, and the armed population must equal live_ —
-  // a corrupted snapshot fails here, not as UB later.
-  for (std::size_t i = kRoot; i < keys_.size(); ++i) {
-    SIMTY_CHECK_MSG(key_slot(keys_[i]) < slots,
-                    "EventQueue::restore: heap key slot out of range");
+  // Structural cross-checks: each slot is on the free list, under exactly
+  // one heap node, or neither (never both); every armed slot has a node;
+  // the heap is ordered; and a non-empty heap's root is live.
+  enum : std::uint8_t { kUnseen, kFree, kInHeap };
+  common::ArenaVector<std::uint8_t> seen;
+  seen.resize(static_cast<std::size_t>(slots));  // all kUnseen
+  for (std::uint32_t f = free_head_; f != kNilSlot; f = slab_[f].next_free) {
+    SIMTY_CHECK_MSG(seen[f] == kUnseen, "EventQueue::restore: free-list cycle");
+    seen[f] = kFree;
   }
-  std::size_t free_len = 0;
-  for (std::uint32_t f = free_head_; f != kNilSlot; f = meta_[f].next_free) {
-    SIMTY_CHECK_MSG(++free_len <= slots, "EventQueue::restore: free-list cycle");
+  for (std::size_t i = 0; i < heap_.size(); ++i) {
+    const std::uint32_t slot = heap_[i].slot;
+    SIMTY_CHECK_MSG(slot < slots, "EventQueue::restore: heap node slot out of range");
+    SIMTY_CHECK_MSG(seen[slot] != kFree, "EventQueue::restore: heap node names a free slot");
+    SIMTY_CHECK_MSG(seen[slot] != kInHeap,
+                    "EventQueue::restore: slot referenced by two heap nodes");
+    seen[slot] = kInHeap;
+    SIMTY_CHECK_MSG(i == 0 || !node_less(heap_[i], heap_[(i - 1) / 4]),
+                    "EventQueue::restore: heap order violated");
   }
   std::size_t armed_count = 0;
-  for (const std::uint64_t word : armed_words_) {
-    armed_count += static_cast<std::size_t>(__builtin_popcountll(word));
+  for (std::size_t i = 0; i < slab_.size(); ++i) {
+    if (!slab_[i].armed) continue;
+    SIMTY_CHECK_MSG(seen[i] == kInHeap, "EventQueue::restore: armed slot has no heap node");
+    ++armed_count;
   }
   SIMTY_CHECK_MSG(armed_count == live_,
-                  "EventQueue::restore: live count does not match armed bits");
+                  "EventQueue::restore: live count does not match armed slots");
+  SIMTY_CHECK_MSG(heap_.empty() || slab_[heap_[0].slot].armed,
+                  "EventQueue::restore: heap root is a tombstone");
 }
 
 void EventQueue::rebind(EventId id, EventFn cb) {
   SIMTY_CHECK_MSG(static_cast<bool>(cb), "EventQueue::rebind: empty callback");
   const auto idx = static_cast<std::uint32_t>(id.value & 0xffffffffu);
   const auto gen = static_cast<std::uint32_t>(id.value >> 32);
-  SIMTY_CHECK_MSG(idx < callbacks_.size() && armed(idx) && meta_[idx].generation == gen,
+  SIMTY_CHECK_MSG(idx < slab_.size() && slab_[idx].armed && slab_[idx].generation == gen,
                   "EventQueue::rebind: id does not name a restored live event");
-  SIMTY_CHECK_MSG(!callbacks_[idx], "EventQueue::rebind: event already bound");
-  callbacks_[idx] = std::move(cb);
+  SIMTY_CHECK_MSG(!slab_[idx].callback, "EventQueue::rebind: event already bound");
+  slab_[idx].callback = std::move(cb);
 }
 
 bool EventQueue::fully_bound() const {
-  for (std::uint32_t i = 0; i < callbacks_.size(); ++i) {
-    if (armed(i) && !callbacks_[i]) return false;
+  for (const Slot& s : slab_) {
+    if (s.armed && !s.callback) return false;
   }
   return true;
-}
-
-EventQueue::Fired EventQueue::pop_root() {
-  const Key key = keys_[kRoot];
-  const std::uint32_t slot = key_slot(key);
-  // Overlap the two random slab touches (callback move-out, meta release)
-  // with the root sift: issue the loads, fix the heap, then read the slab.
-  __builtin_prefetch(&callbacks_[slot], 1);
-  __builtin_prefetch(&meta_[slot], 1);
-  heap_remove_root();
-  Fired fired{key_time(key), std::move(callbacks_[slot]), meta_[slot].label,
-              key_priority(key)};
-  release_slot(slot);
-  --live_;
-  prune_root();
-  // A pop is usually followed by another: start fetching the next root's
-  // slab lines so the next pop's payload access is already in flight.
-  if (!heap_empty()) {
-    const std::uint32_t next = key_slot(keys_[kRoot]);
-    __builtin_prefetch(&callbacks_[next], 1);
-    __builtin_prefetch(&meta_[next], 1);
-  }
-  return fired;
 }
 
 }  // namespace simty::sim

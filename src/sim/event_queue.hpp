@@ -6,18 +6,12 @@
 // model run hardware-level transitions (RTC interrupt, wake completion)
 // before framework-level reactions scheduled for the same instant.
 //
-// Storage is struct-of-arrays. The 4-ary min-heap holds nothing but dense
-// 16-byte comparison keys (biased time, then priority|seq|slot in one order
-// word) in a 64-byte-aligned array — with the root placed at physical index
-// 3, every 4-child sibling group shares exactly one cache line. The payload
-// slab index rides in the low bits of the order word: seq is unique, so
-// comparisons never reach the slot bits, and a sift level moves exactly 16
-// bytes with no parallel position map to maintain. Payloads (callback,
-// label, generation, free-list link) live in per-field slab arrays indexed
-// by the low half of the EventId, with the armed/tombstone flag packed into
-// a bitset so lazy-cancellation pruning never touches the fat callback
-// array. All storage can be carved from a common::Arena (per-shard in the
-// fleet runner) so repeated runs reset instead of reallocating.
+// Storage is a 4-ary min-heap of {key, slot} nodes over a slab of slots
+// recycled through a free list, so the steady state allocates nothing.
+// Both arrays can be carved from a common::Arena (per-shard in the fleet
+// runner) so repeated runs reset instead of reallocating. Per-device
+// queues hold tens of events, where this plain layout measures the same
+// as a cache-tuned one (DESIGN.md §9).
 //
 // cancel() is lazy: it marks a generation-checked tombstone instead of
 // erasing, and the tombstone is skipped (and its slot recycled) when it
@@ -25,16 +19,6 @@
 // the (time, priority, seq) key of a live event never changes, and
 // tombstones are invisible to next_time()/pop() by the root-is-live
 // invariant maintained after every mutation.
-//
-// pop_batch() accelerates the common alarm-batching case where many events
-// share one (time, priority): all matching events form a connected subtree
-// through the root (every ancestor key is sandwiched between the root key
-// and a matching descendant key, so it matches too), and one multi-delete
-// pass detaches the whole group into a staged buffer ordered by sequence.
-// Staged events stay cancellable until handed out by pop(), and pop()
-// re-checks the heap root before each hand-out, so a callback scheduling a
-// higher-priority event at the same instant still interleaves exactly as k
-// independent pops would — DESIGN.md carries the full ordering proof.
 
 #include <cstdint>
 #include <string_view>
@@ -91,8 +75,8 @@ class EventQueue {
   EventId schedule(TimePoint when, EventPriority priority, EventFn cb,
                    const char* label = "");
 
-  /// Cancels a pending event (staged or heap-resident). Returns false if it
-  /// already fired/was cancelled.
+  /// Cancels a pending event. Returns false if it already fired/was
+  /// cancelled.
   bool cancel(EventId id);
 
   bool empty() const { return live_ == 0; }
@@ -104,10 +88,7 @@ class EventQueue {
   TimePoint next_time() const;
 
   /// Removes and returns the earliest event's callback and metadata. The
-  /// callback is moved out of the queue, never copied. Staged events (see
-  /// pop_batch) are handed out here too, interleaved with any newly
-  /// scheduled earlier-key events so the fire order is always the global
-  /// (time, priority, seq) order.
+  /// callback is moved out of the queue, never copied.
   struct Fired {
     TimePoint when;
     EventFn callback;
@@ -116,33 +97,22 @@ class EventQueue {
   };
   Fired pop();
 
-  /// Coalesced same-instant firing: detaches every event sharing the root's
-  /// (time, priority) from the heap in one multi-delete pass and stages
-  /// them, in sequence order, for the following pop() calls. Returns the
-  /// number of live events in the group (>= 1). When the group is a single
-  /// event nothing is staged — the next pop() takes the plain heap path.
-  /// Requires a non-empty queue and no staged events pending.
-  std::size_t pop_batch();
-
-  /// True while staged events from a pop_batch() await hand-out. Also
-  /// performs staged-buffer housekeeping (recycling cancelled entries), so
-  /// callers should prefer it over tracking batch counts themselves.
-  bool has_staged() { return sync_staged(); }
-
   /// Slab high-water mark (slots ever allocated); tombstoned slots are
   /// recycled, so this stays near the peak live count. Exposed for tests.
-  std::size_t slab_slots() const { return callbacks_.size(); }
+  std::size_t slab_slots() const { return slab_.size(); }
 
-  /// Serializes the queue's complete structure — heap keys verbatim, slab
-  /// generations/labels/free-list, armed/staged bit words, the staged
-  /// buffer, and the sequence counter — into the writer's open section.
-  /// Callbacks cannot be serialized; after restore() every armed event is
-  /// empty until the owner rebind()s it (see fully_bound()).
+  /// Serializes the queue's complete structure — heap nodes verbatim, slab
+  /// labels/generations/free-list links/armed flags, and the sequence
+  /// counter — into the writer's open section. Callbacks cannot be
+  /// serialized; after restore() every armed event is empty until the
+  /// owner rebind()s it (see fully_bound()).
   void save(snapshot::Writer& w) const;
 
   /// Restores the exact structure written by save(), replacing the queue's
-  /// current contents wholesale. All lengths, slot references, and link
-  /// fields are bounds-checked (SIMTY_CHECK) before allocation or use.
+  /// current contents wholesale. Lengths, slot references, free-list links,
+  /// heap order and the root-is-live invariant are all checked
+  /// (SIMTY_CHECK), so a corrupted snapshot fails here, not later as a
+  /// misordered or corrupted queue.
   void restore(snapshot::SectionReader& s);
 
   /// Re-attaches the callback of a restored armed event. The id must name a
@@ -155,130 +125,39 @@ class EventQueue {
 
  private:
   static constexpr std::uint32_t kNilSlot = 0xffffffffu;
-  /// Physical index of the heap root. Indices 0..2 are padding: with the
-  /// root at 3, children(p) = 4p-8..4p-5 puts every sibling group at a
-  /// 16-byte-key * 4 = 64-byte-aligned offset.
-  static constexpr std::size_t kRoot = 3;
-  /// XOR bias turning signed microsecond order into unsigned order.
-  static constexpr std::uint64_t kWhenBias = 1ull << 63;
+  /// The sequence number shares the order word with the priority, which
+  /// takes the top 4 bits.
+  static constexpr std::uint64_t kSeqLimit = 1ull << 60;
 
-  /// Dense heap comparison key; the only thing sift loops touch. The
-  /// payload slot index rides in the low bits of `order`, below the
-  /// sequence number: seq is unique, so comparisons never reach the slot
-  /// bits, and the heap needs no parallel position->slot array — a sift
-  /// level moves exactly 16 bytes.
-  struct Key {
-    std::uint64_t when_biased;  // int64 when_us ^ kWhenBias
-    std::uint64_t order;        // (priority << 60) | (seq << 32) | slot
-  };
-  static_assert(sizeof(Key) == 16);
-  /// Sequence numbers get 28 bits (~268M schedules per queue instance);
-  /// schedule() checks the ceiling loudly rather than wrapping.
-  static constexpr std::uint64_t kMaxSeq = (1ull << 28) - 1;
-
-  /// Widens a key to one unsigned integer so comparisons compile to a
-  /// branchless cmp/sbb pair. Sift compares on random keys are otherwise
-  /// mispredict-bound — the two-field compare costs ~15 cycles of flush
-  /// roughly every other call.
-#ifdef __SIZEOF_INT128__
-  using KeyWord = unsigned __int128;
-#else
-  using KeyWord = std::uint64_t;  // unused; see the fallback in key_less
-#endif
-  static KeyWord key_word(const Key& k) {
-#ifdef __SIZEOF_INT128__
-    return (static_cast<KeyWord>(k.when_biased) << 64) | k.order;
-#else
-    return k.when_biased;
-#endif
-  }
-  static bool key_less(const Key& a, const Key& b) {
-#ifdef __SIZEOF_INT128__
-    return key_word(a) < key_word(b);
-#else
-    return a.when_biased < b.when_biased ||
-           (a.when_biased == b.when_biased && a.order < b.order);
-#endif
-  }
-  /// Same (time, priority), ignoring seq — the pop_batch grouping.
-  static bool same_group(const Key& a, const Key& b) {
-    return a.when_biased == b.when_biased && (a.order >> 60) == (b.order >> 60);
-  }
-  static TimePoint key_time(const Key& k) {
-    return TimePoint::from_us(static_cast<std::int64_t>(k.when_biased ^ kWhenBias));
-  }
-  static EventPriority key_priority(const Key& k) {
-    return static_cast<EventPriority>(k.order >> 60);
-  }
-  static std::uint32_t key_slot(const Key& k) {
-    return static_cast<std::uint32_t>(k.order & 0xffffffffu);
-  }
-
-  /// A detached same-instant event awaiting hand-out; key is copied so
-  /// ordering checks never touch the slab. slot == kNilSlot marks an entry
-  /// already recycled (cancelled while staged, or a carried tombstone).
-  struct Staged {
-    Key key;
+  struct Node {
+    std::int64_t when_us;
+    std::uint64_t order;  // (priority << 60) | seq
     std::uint32_t slot;
   };
 
-  bool heap_empty() const { return keys_.size() == kRoot; }
+  struct Slot {
+    EventFn callback;
+    const char* label = "";
+    std::uint32_t generation = 1;  // bumped on release; 0 is never live
+    std::uint32_t next_free = kNilSlot;
+    bool armed = false;  // false = free, or a tombstone awaiting root pruning
+  };
 
-  bool armed(std::uint32_t slot) const {
-    return ((armed_words_[slot >> 6] >> (slot & 63u)) & 1u) != 0;
-  }
-  void set_armed(std::uint32_t slot) { armed_words_[slot >> 6] |= 1ull << (slot & 63u); }
-  void clear_armed(std::uint32_t slot) { armed_words_[slot >> 6] &= ~(1ull << (slot & 63u)); }
-  bool staged_bit(std::uint32_t slot) const {
-    return ((staged_words_[slot >> 6] >> (slot & 63u)) & 1u) != 0;
-  }
-  void set_staged_bit(std::uint32_t slot) { staged_words_[slot >> 6] |= 1ull << (slot & 63u); }
-  void clear_staged_bit(std::uint32_t slot) {
-    staged_words_[slot >> 6] &= ~(1ull << (slot & 63u));
+  static bool node_less(const Node& a, const Node& b) {
+    if (a.when_us != b.when_us) return a.when_us < b.when_us;
+    return a.order < b.order;
   }
 
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t idx);
-  void heap_push(Key key);
-  void sift_down(std::size_t pos);
-  void heap_remove_root();
+  void heap_push(Node node);
+  void heap_pop_root();
   /// Recycles tombstones sitting at the heap root, restoring the invariant
   /// that a non-empty heap's root is a live event.
   void prune_root();
-  /// Advances past recycled staged entries (recycling carried tombstones at
-  /// the position the old root-prune would have); true if a live staged
-  /// event is next.
-  bool sync_staged();
-  /// Removes and returns the heap root (must be live).
-  Fired pop_root();
 
-  // Heap: dense keys only (slot packed into the order word); carries kRoot
-  // padding entries at the front so sibling groups are line-aligned.
-  common::ArenaVector<Key, 64> keys_;
-
-  /// Cold per-slot fields packed into one 16-byte record so the
-  /// schedule/release bookkeeping (label store, generation bump, free-list
-  /// link) costs a single cache line next to the callback, not three
-  /// scattered array touches.
-  struct SlotMeta {
-    const char* label = "";
-    std::uint32_t generation = 1;  // starts at 1, bumped on release; 0 never live
-    std::uint32_t next_free = kNilSlot;
-  };
-  static_assert(sizeof(SlotMeta) == 16);
-
-  // Payload slab (SoA), indexed by slot.
-  common::ArenaVector<EventFn> callbacks_;
-  common::ArenaVector<SlotMeta> meta_;
-  common::ArenaVector<std::uint64_t> armed_words_;   // live vs tombstone, 1 bit/slot
-  common::ArenaVector<std::uint64_t> staged_words_;  // staged-and-live, 1 bit/slot
-
-  // pop_batch staging + scratch (capacity retained across batches).
-  common::ArenaVector<Staged> staged_;
-  std::size_t staged_next_ = 0;
-  common::ArenaVector<std::uint32_t> scratch_pos_;
-  common::ArenaVector<std::uint32_t> scratch_stack_;
-
+  common::ArenaVector<Node> heap_;
+  common::ArenaVector<Slot> slab_;
   std::uint32_t free_head_ = kNilSlot;
   std::uint64_t next_seq_ = 1;
   std::size_t live_ = 0;

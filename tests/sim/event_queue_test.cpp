@@ -5,9 +5,11 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "snapshot/snapshot.hpp"
 
 namespace simty::sim {
 namespace {
@@ -204,10 +206,25 @@ class MapModel {
   std::uint64_t next_seq_ = 1;
 };
 
-TEST(EventQueue, RandomizedDifferentialAgainstMapModel) {
+// One randomized schedule/cancel/pop mix. `dice` below `schedule_cut`
+// schedules `1..max_fan` events sharing one key, below `cancel_cut` cancels
+// a random (possibly stale) handle, and otherwise pops.
+struct Regime {
+  const char* name;
+  std::uint64_t seed;
+  int ops;
+  std::uint32_t schedule_cut;
+  std::uint32_t cancel_cut;
+  std::uint32_t time_range_us;
+  std::uint32_t priorities;
+  std::uint32_t max_fan;
+};
+
+void run_differential(const Regime& r) {
+  SCOPED_TRACE(r.name);
   EventQueue q;
   MapModel model;
-  Rng rng(2024);
+  Rng rng(r.seed);
 
   struct Live {
     EventId real;
@@ -219,22 +236,21 @@ TEST(EventQueue, RandomizedDifferentialAgainstMapModel) {
 
   int payload = 0;
   std::size_t pending = 0;
-  constexpr int kOps = 30'000;
-  for (int op = 0; op < kOps; ++op) {
+  for (int op = 0; op < r.ops; ++op) {
     const std::uint32_t dice = rng.next_below(100);
-    if (dice < 50 || q.empty()) {
-      // Small time range + 4 priorities force heavy key ties, so the
-      // seq tie-break is exercised constantly.
-      const std::int64_t when_us = static_cast<std::int64_t>(rng.next_below(64));
-      const int priority = static_cast<int>(rng.next_below(4));
-      const int p = payload++;
-      const EventId real = q.schedule(
-          TimePoint::from_us(when_us), static_cast<EventPriority>(priority),
-          [&fired_real, when_us, p] { fired_real.emplace_back(when_us, p); });
-      const std::uint64_t m = model.schedule(when_us, priority, p);
-      live.push_back({real, m});
-      ++pending;
-    } else if (dice < 75 && !live.empty()) {
+    if (dice < r.schedule_cut || q.empty()) {
+      const std::int64_t when_us = static_cast<std::int64_t>(rng.next_below(r.time_range_us));
+      const int priority = static_cast<int>(rng.next_below(r.priorities));
+      const std::uint32_t fan = r.max_fan > 1 ? 1 + rng.next_below(r.max_fan) : 1;
+      for (std::uint32_t f = 0; f < fan; ++f) {
+        const int p = payload++;
+        const EventId real = q.schedule(
+            TimePoint::from_us(when_us), static_cast<EventPriority>(priority),
+            [&fired_real, when_us, p] { fired_real.emplace_back(when_us, p); });
+        live.push_back({real, model.schedule(when_us, priority, p)});
+        ++pending;
+      }
+    } else if (dice < r.cancel_cut && !live.empty()) {
       // Cancel a random (possibly already fired/cancelled) handle; both
       // implementations must agree on whether it was still pending.
       const std::size_t pick = rng.next_below(static_cast<std::uint32_t>(live.size()));
@@ -261,138 +277,211 @@ TEST(EventQueue, RandomizedDifferentialAgainstMapModel) {
   EXPECT_EQ(fired_real, fired_model);
 }
 
-// --------------------------------------------------------------------------
-// pop_batch / staged hand-out semantics
-// --------------------------------------------------------------------------
-
-TEST(EventQueue, PopBatchStagesRootGroupAndReportsLiveCount) {
-  EventQueue q;
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) {
-    q.schedule(at(1), EventPriority::kFramework, [&order, i] { order.push_back(i); });
-  }
-  q.schedule(at(1), EventPriority::kApp, [&order] { order.push_back(99); });
-  q.schedule(at(2), EventPriority::kFramework, [&order] { order.push_back(100); });
-
-  // Only the five (t=1, kFramework) events share the root's group.
-  EXPECT_EQ(q.pop_batch(), 5u);
-  EXPECT_TRUE(q.has_staged());
-  while (!q.empty()) q.pop().callback();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 99, 100}));
-}
-
-TEST(EventQueue, PopBatchSingletonStagesNothing) {
-  EventQueue q;
-  q.schedule(at(1), EventPriority::kFramework, [] {});
-  q.schedule(at(2), EventPriority::kFramework, [] {});
-  EXPECT_EQ(q.pop_batch(), 1u);
-  EXPECT_FALSE(q.has_staged());
-  EXPECT_EQ(q.pop().when, at(1));
-}
-
-TEST(EventQueue, StagedEventsStayCancellable) {
-  EventQueue q;
-  std::vector<int> order;
-  std::vector<EventId> ids;
-  for (int i = 0; i < 4; ++i) {
-    ids.push_back(
-        q.schedule(at(3), EventPriority::kFramework, [&order, i] { order.push_back(i); }));
-  }
-  ASSERT_EQ(q.pop_batch(), 4u);
-  EXPECT_TRUE(q.cancel(ids[1]));
-  EXPECT_FALSE(q.cancel(ids[1]));  // already cancelled while staged
-  EXPECT_EQ(q.size(), 3u);
-  while (!q.empty()) q.pop().callback();
-  EXPECT_EQ(order, (std::vector<int>{0, 2, 3}));
-  EXPECT_FALSE(q.cancel(ids[0]));  // fired
-}
-
-TEST(EventQueue, PopReChecksHeapRootAgainstStagedEvents) {
-  // A callback scheduling a higher-priority event at the same instant must
-  // see it fire before the rest of the staged group — exactly as k
-  // independent pops would interleave it.
-  EventQueue q;
-  std::vector<std::string> order;
-  for (int i = 0; i < 3; ++i) {
-    q.schedule(at(7), EventPriority::kApp,
-               [&order, i] { order.push_back("app" + std::to_string(i)); });
-  }
-  ASSERT_EQ(q.pop_batch(), 3u);
-  auto first = q.pop();
-  first.callback();
-  q.schedule(at(7), EventPriority::kHardware, [&order] { order.push_back("hw"); });
-  while (!q.empty()) q.pop().callback();
-  EXPECT_EQ(order, (std::vector<std::string>{"app0", "hw", "app1", "app2"}));
-}
-
-// Differential test including pop_batch: 1e5 mixed operations across three
-// phases — a general mix, a tombstone-heavy phase (cancel-dominated, so
-// batches carry dead entries), and a same-instant-burst phase (tiny time
-// range, big firing groups). The map model treats pop_batch as a no-op:
-// staged hand-out must be indistinguishable from k independent pops.
-TEST(EventQueue, RandomizedDifferentialWithPopBatch) {
-  EventQueue q;
-  MapModel model;
-  Rng rng(777);
-
-  struct Live {
-    EventId real;
-    std::uint64_t model;
+TEST(EventQueue, RandomizedDifferentialAgainstMapModel) {
+  const Regime regimes[] = {
+      // Small time range + 4 priorities force heavy key ties, so the seq
+      // tie-break is exercised constantly.
+      {"mixed", 2024, 30'000, 50, 75, 64, 4, 1},
+      // Schedule-dominated with spread-out times: thousands pending, so
+      // sifts run through many heap levels.
+      {"deep", 777, 40'000, 60, 75, 1u << 20, 4, 1},
+      // Cancel-dominated: the heap stays shallow and full of tombstones,
+      // so root pruning runs on most mutations.
+      {"shallow tombstone-heavy", 778, 30'000, 15, 90, 64, 4, 1},
+      // Up to 8 events per key in a tiny time range: big same-(time,
+      // priority) groups must fire in insertion order.
+      {"same-key groups", 779, 30'000, 45, 70, 8, 2, 8},
   };
-  std::vector<Live> live;
-  std::vector<std::pair<std::int64_t, int>> fired_real;
-  std::vector<std::pair<std::int64_t, int>> fired_model;
+  for (const Regime& r : regimes) run_differential(r);
+}
 
-  int payload = 0;
-  std::size_t pending = 0;
-  constexpr int kOps = 100'000;
-  for (int op = 0; op < kOps; ++op) {
-    // Phase thresholds: [0,40k) mixed, [40k,70k) tombstone-heavy,
-    // [70k,100k) same-instant bursts.
-    const bool tombstone_phase = op >= 40'000 && op < 70'000;
-    const bool burst_phase = op >= 70'000;
-    const std::uint32_t dice = rng.next_below(100);
-    const std::uint32_t cancel_cut = tombstone_phase ? 75 : 25;
-    const std::uint32_t schedule_cut = tombstone_phase ? 15 : 45;
+// --------------------------------------------------------------------------
+// save / restore
+// --------------------------------------------------------------------------
 
-    if (dice < schedule_cut || q.empty()) {
-      const std::int64_t when_us =
-          static_cast<std::int64_t>(rng.next_below(burst_phase ? 8 : 64));
-      const int priority = static_cast<int>(rng.next_below(burst_phase ? 2 : 4));
-      const std::size_t fan = burst_phase ? 1 + rng.next_below(8) : 1;
-      for (std::size_t f = 0; f < fan; ++f) {
-        const int p = payload++;
-        const EventId real = q.schedule(
-            TimePoint::from_us(when_us), static_cast<EventPriority>(priority),
-            [&fired_real, when_us, p] { fired_real.emplace_back(when_us, p); });
-        live.push_back({real, model.schedule(when_us, priority, p)});
-        ++pending;
-      }
-    } else if (dice < schedule_cut + cancel_cut && !live.empty()) {
-      const std::size_t pick = rng.next_below(static_cast<std::uint32_t>(live.size()));
-      const bool cancelled = q.cancel(live[pick].real);
-      ASSERT_EQ(cancelled, model.cancel(live[pick].model)) << "op " << op;
-      if (cancelled) --pending;
-    } else {
-      // Drain step: sometimes coalesce the root group first. pop_batch is
-      // only legal with no staged events pending.
-      if (rng.next_below(2) == 0 && !q.has_staged()) q.pop_batch();
-      q.pop().callback();
-      fired_model.push_back(model.pop());
-      ASSERT_EQ(fired_real.size(), fired_model.size());
-      ASSERT_EQ(fired_real.back(), fired_model.back()) << "op " << op;
-      --pending;
+constexpr std::uint32_t kSectionVersion = 1;
+
+std::string save_queue(const EventQueue& q) {
+  snapshot::Writer w;
+  w.begin_section("queue", kSectionVersion);
+  q.save(w);
+  w.end_section();
+  return w.finish();
+}
+
+void restore_queue(EventQueue& q, std::string bytes) {
+  const snapshot::Reader reader(std::move(bytes));
+  snapshot::SectionReader s = reader.section("queue", kSectionVersion);
+  q.restore(s);
+}
+
+TEST(EventQueueSnapshot, RoundTripKeepsPopOrderAndSavesIdentically) {
+  EventQueue original;
+  std::vector<int> fired_original;
+  std::vector<EventId> ids;
+  std::vector<bool> pending;
+  const auto schedule = [&](TimePoint when, EventPriority priority) {
+    const int payload = static_cast<int>(ids.size());
+    ids.push_back(original.schedule(
+        when, priority, [&fired_original, payload] { fired_original.push_back(payload); },
+        payload % 2 == 0 ? "even" : "odd"));
+    pending.push_back(true);
+  };
+  Rng rng(31);
+  for (int i = 0; i < 200; ++i) {
+    schedule(TimePoint::from_us(static_cast<std::int64_t>(rng.next_below(50))),
+             static_cast<EventPriority>(rng.next_below(4)));
+  }
+  // Cancel a spread of events (most stay behind as tombstones), fire a few
+  // so the slab has free slots, then schedule into recycled slots.
+  for (std::size_t i = 0; i < ids.size(); i += 3) {
+    ASSERT_TRUE(original.cancel(ids[i]));
+    pending[i] = false;
+  }
+  for (int i = 0; i < 20; ++i) original.pop().callback();
+  for (const int payload : fired_original) pending[static_cast<std::size_t>(payload)] = false;
+  for (int i = 0; i < 10; ++i) schedule(TimePoint::from_us(60 + i), EventPriority::kApp);
+  ASSERT_GT(original.slab_slots(), original.size());  // dead slots present
+
+  const std::string snap = save_queue(original);
+  EventQueue restored;
+  restore_queue(restored, snap);
+  EXPECT_EQ(restored.size(), original.size());
+  EXPECT_FALSE(restored.fully_bound());
+  std::vector<int> fired_restored;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    if (!pending[i]) continue;
+    const int payload = static_cast<int>(i);
+    restored.rebind(ids[i], [&fired_restored, payload] { fired_restored.push_back(payload); });
+  }
+  EXPECT_TRUE(restored.fully_bound());
+  EXPECT_EQ(save_queue(restored), snap);
+
+  fired_original.clear();
+  while (!original.empty()) {
+    ASSERT_FALSE(restored.empty());
+    EventQueue::Fired a = original.pop();
+    EventQueue::Fired b = restored.pop();
+    EXPECT_EQ(a.when, b.when);
+    EXPECT_EQ(a.priority, b.priority);
+    EXPECT_STREQ(a.label, b.label);
+    a.callback();
+    b.callback();
+  }
+  EXPECT_TRUE(restored.empty());
+  EXPECT_EQ(fired_restored, fired_original);
+  EXPECT_FALSE(fired_restored.empty());
+}
+
+TEST(EventQueueSnapshot, RebindRejectsWrongGenerationAndDoubleBinding) {
+  EventQueue original;
+  const EventId stale = original.schedule(at(1), EventPriority::kFramework, [] {});
+  original.pop();  // slot 0 recycled; its generation is bumped
+  const EventId live = original.schedule(at(2), EventPriority::kFramework, [] {});
+  ASSERT_EQ(stale.value & 0xffffffffu, live.value & 0xffffffffu);
+
+  EventQueue restored;
+  restore_queue(restored, save_queue(original));
+  EXPECT_THROW(restored.rebind(stale, [] {}), std::logic_error);
+  restored.rebind(live, [] {});
+  EXPECT_THROW(restored.rebind(live, [] {}), std::logic_error);
+  EXPECT_TRUE(restored.fully_bound());
+}
+
+// A hand-built queue image, encoded field by field exactly as
+// EventQueue::save lays it out, so each case can break one invariant. The
+// default holds two live events (slot 0 at t=1, slot 1 at t=2) and one
+// free slot.
+constexpr std::uint32_t kNil = 0xffffffffu;
+struct ImageNode {
+  std::int64_t when_us;
+  std::uint64_t order;  // priority << 60 | seq
+  std::uint32_t slot;
+};
+struct ImageSlot {
+  std::uint32_t generation;
+  std::uint32_t next_free;
+  bool armed;
+};
+struct QueueImage {
+  std::vector<ImageNode> heap = {{1, 1, 0}, {2, 2, 1}};
+  std::vector<ImageSlot> slots = {{1, kNil, true}, {1, kNil, true}, {2, kNil, false}};
+  std::uint32_t free_head = 2;
+  std::uint64_t next_seq = 3;
+  std::uint64_t live = 2;
+};
+
+std::string encode(const QueueImage& img) {
+  snapshot::Writer w;
+  w.begin_section("queue", kSectionVersion);
+  w.u64(img.heap.size());
+  for (const ImageNode& n : img.heap) {
+    w.i64(n.when_us);
+    w.u64(n.order);
+    w.u32(n.slot);
+  }
+  w.u64(img.slots.size());
+  for (const ImageSlot& s : img.slots) {
+    w.str("");
+    w.u32(s.generation);
+    w.u32(s.next_free);
+    w.boolean(s.armed);
+  }
+  w.u32(img.free_head);
+  w.u64(img.next_seq);
+  w.u64(img.live);
+  w.end_section();
+  return w.finish();
+}
+
+TEST(EventQueueSnapshot, RestoreRejectsStructurallyBadImages) {
+  {  // Unmutated, the image is valid: each case below breaks one invariant.
+    EventQueue q;
+    restore_queue(q, encode(QueueImage{}));
+    EXPECT_EQ(q.next_time(), TimePoint::from_us(1));
+  }
+  struct Case {
+    const char* why;  // expected in the check message
+    void (*mutate)(QueueImage&);
+  };
+  const Case cases[] = {
+      {"heap order violated", [](QueueImage& i) { std::swap(i.heap[0], i.heap[1]); }},
+      {"slot referenced by two heap nodes",
+       [](QueueImage& i) {
+         i.heap[1].slot = 0;
+         i.slots[1].armed = false;
+         i.live = 1;
+       }},
+      {"heap node names a free slot",
+       [](QueueImage& i) {
+         i.heap[1].slot = 2;
+         i.slots[1].armed = false;
+         i.slots[2].armed = true;
+       }},
+      {"armed slot has no heap node",
+       [](QueueImage& i) {
+         i.free_head = kNil;
+         i.slots[2].armed = true;
+         i.live = 3;
+       }},
+      {"heap root is a tombstone",
+       [](QueueImage& i) {
+         i.slots[0].armed = false;
+         i.live = 1;
+       }},
+      {"sequence counter out of range", [](QueueImage& i) { i.next_seq = 1ull << 60; }},
+  };
+  for (const Case& c : cases) {
+    QueueImage img;
+    c.mutate(img);
+    EventQueue q;
+    try {
+      restore_queue(q, encode(img));
+      ADD_FAILURE() << "restore accepted an image with: " << c.why;
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find(c.why), std::string::npos) << e.what();
     }
-    ASSERT_EQ(q.size(), pending) << "live-count divergence at op " << op;
   }
-
-  while (!q.empty()) {
-    if (!q.has_staged() && rng.next_below(4) == 0) q.pop_batch();
-    q.pop().callback();
-    fired_model.push_back(model.pop());
-  }
-  EXPECT_TRUE(model.empty());
-  EXPECT_EQ(fired_real, fired_model);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 namespace simty::sim {
@@ -70,6 +71,27 @@ TEST(Simulator, CancelPreventsCallback) {
   EXPECT_TRUE(sim.cancel(id));
   sim.run_all();
   EXPECT_FALSE(fired);
+}
+
+TEST(Simulator, SameInstantHigherPriorityEventFiresNext) {
+  // A callback that schedules a higher-priority event at its own instant
+  // sees it fire before the rest of that instant's lower-priority events.
+  Simulator sim;
+  std::vector<std::string> order;
+  for (int i = 0; i < 3; ++i) {
+    sim.schedule_at(
+        at(7),
+        [&sim, &order, i] {
+          order.push_back("app" + std::to_string(i));
+          if (i == 0) {
+            sim.schedule_at(at(7), [&order] { order.push_back("hw"); },
+                            EventPriority::kHardware);
+          }
+        },
+        EventPriority::kApp);
+  }
+  sim.run_all();
+  EXPECT_EQ(order, (std::vector<std::string>{"app0", "hw", "app1", "app2"}));
 }
 
 TEST(Simulator, StepRunsExactlyOneEvent) {

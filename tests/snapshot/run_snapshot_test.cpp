@@ -155,10 +155,10 @@ TEST(RunSnapshotTest, CheckpointResumeWithDozeMatches) {
 
 TEST(RunSnapshotTest, CheckpointInsideBatchNeighborhoodMatches) {
   // Checkpoint at an instant chosen per-delivery: right after a batch of
-  // size >= 2 delivered (a same-instant pop_batch group just drained).
+  // size >= 2 delivered (a group of same-instant deliveries just fired).
   // advance_to_quiescent steps past the in-flight wake session, so the
   // snapshot lands between two batch groups, never inside one — this test
-  // pins that the surrounding machinery (staged pops, wakelock tails,
+  // pins that the surrounding machinery (same-instant pops, wakelock tails,
   // device sleep-back) restores exactly.
   ExperimentConfig probe = base_config(PolicyKind::kSimty);
   TimePoint batch_instant;
@@ -338,19 +338,23 @@ std::string with_section_version(std::string bytes, std::uint32_t version) {
   return bytes;
 }
 
-TEST(RunSnapshotTest, RestoreRejectsVersion2Sections) {
+TEST(RunSnapshotTest, RestoreRejectsOlderSectionVersions) {
   // Version 2 alarms sections carried two per-queue counters that version 3
-  // dropped; an old snapshot must fail loudly instead of being misread.
+  // dropped, and version 3 sim sections carried the staged-batch queue
+  // layout; an old snapshot must fail loudly instead of being misread.
   const ExperimentConfig config = base_config(PolicyKind::kSimty);
   exp::Run first(config);
   first.advance_to_quiescent(TimePoint::origin() + Duration::minutes(30));
   const std::string snap = first.save_snapshot();
 
   exp::Run same(config);
-  EXPECT_NO_THROW(same.restore_snapshot(with_section_version(snap, 3)));
-  exp::Run old(config);
-  EXPECT_THROW(old.restore_snapshot(with_section_version(snap, 2)),
-               std::logic_error);
+  EXPECT_NO_THROW(same.restore_snapshot(with_section_version(snap, 4)));
+  for (const std::uint32_t version : {2u, 3u}) {
+    exp::Run old(config);
+    EXPECT_THROW(old.restore_snapshot(with_section_version(snap, version)),
+                 std::logic_error)
+        << "version " << version;
+  }
 }
 
 TEST(RunSnapshotTest, SaveRequiresQuiescence) {
