@@ -369,8 +369,8 @@ std::string usage() {
       "  --csv PATH           write per-policy results CSV\n"
       "  --delivery-log PATH  write the delivery log of the last run\n"
       "  --waveform PATH      write the power waveform of the last run\n"
-      "  --trace PATH         write the last policy's base-seed run as a\n"
-      "                       binary trace (compare with tools/trace_diff)\n"
+      "  --trace PATH         write the last policy's base-seed run trace as a\n"
+      "                       snapshot file (compare with tools/snapshot_diff)\n"
       "  --trace-json PATH    same run as Chrome trace JSON (Perfetto)\n"
       "  --help               this text\n";
 }

@@ -81,8 +81,8 @@ struct ParseResult {
 ///   --csv PATH         write per-column results CSV
 ///   --delivery-log PATH  write the delivery log of the LAST run
 ///   --waveform PATH    write the power waveform of the LAST run
-///   --trace PATH       write the binary run trace of the LAST policy's
-///                      base-seed run (compare with tools/trace_diff)
+///   --trace PATH       write the run trace of the LAST policy's base-seed
+///                      run as a snapshot file (compare with tools/snapshot_diff)
 ///   --trace-json PATH  same run as Chrome trace-event JSON (Perfetto)
 ///   --help
 ParseResult parse_args(const std::vector<std::string>& args);

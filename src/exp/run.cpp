@@ -68,7 +68,8 @@ int wire_listeners(hw::PowerBus& bus, power::EnergyAccountant& accountant,
 // v2: hw::Component gained kWur (accountant per-component array grew).
 // v3: the alarms section no longer carries per-queue index counters.
 // v4: the sim section stores heap nodes and slots, with no staged batch.
-constexpr std::uint32_t kSectionVersion = 4;
+// v5: the tracer section no longer carries a ring drop count.
+constexpr std::uint32_t kSectionVersion = 5;
 
 }  // namespace
 
@@ -218,7 +219,7 @@ std::string Run::save_snapshot() const {
   w.u64(one_shots_);
   w.end_section();
   if (config_.tracer != nullptr) {
-    w.begin_section("tracer", kSectionVersion);
+    w.begin_section(trace::Tracer::kSection, kSectionVersion);
     config_.tracer->save(w);
     w.end_section();
   }
@@ -299,9 +300,9 @@ void Run::restore_snapshot(const std::string& bytes) {
     one_shots_ = s.u64();
   }
   if (config_.tracer != nullptr) {
-    SIMTY_CHECK_MSG(r.has_section("tracer"),
+    SIMTY_CHECK_MSG(r.has_section(trace::Tracer::kSection),
                     "Run::restore_snapshot: snapshot carries no tracer section");
-    snapshot::SectionReader s = r.section("tracer", kSectionVersion);
+    snapshot::SectionReader s = r.section(trace::Tracer::kSection, kSectionVersion);
     config_.tracer->restore(s);
   }
   if (config_.capture_delivery_log) {

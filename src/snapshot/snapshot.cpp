@@ -368,11 +368,13 @@ SnapshotDiff diff_snapshots(const DecodedSnapshot& a, const DecodedSnapshot& b) 
     const DecodedSection& sb = b.sections[i];
     if (sa.name != sb.name) {
       return {false, str_format("section #%zu differs: '%s' vs '%s'", i,
-                                sa.name.c_str(), sb.name.c_str())};
+                                sa.name.c_str(), sb.name.c_str()),
+              ""};
     }
     if (sa.version != sb.version) {
       return {false, str_format("section '%s' version differs: %u vs %u",
-                                sa.name.c_str(), sa.version, sb.version)};
+                                sa.name.c_str(), sa.version, sb.version),
+              ""};
     }
     const std::size_t common_fields = std::min(sa.fields.size(), sb.fields.size());
     for (std::size_t k = 0; k < common_fields; ++k) {
@@ -381,25 +383,30 @@ SnapshotDiff diff_snapshots(const DecodedSnapshot& a, const DecodedSnapshot& b) 
       if (fa.type != fb.type) {
         return {false,
                 str_format("section '%s' field #%zu type differs: %s vs %s",
-                           sa.name.c_str(), k, to_string(fa.type), to_string(fb.type))};
+                           sa.name.c_str(), k, to_string(fa.type), to_string(fb.type)),
+                sa.name};
       }
       if (fa.repr != fb.repr) {
         return {false,
                 str_format("section '%s' field #%zu (%s): %s vs %s", sa.name.c_str(),
-                           k, to_string(fa.type), fa.repr.c_str(), fb.repr.c_str())};
+                           k, to_string(fa.type), fa.repr.c_str(), fb.repr.c_str()),
+                sa.name};
       }
     }
     if (sa.fields.size() != sb.fields.size()) {
       return {false,
               str_format("section '%s' field counts differ: %zu vs %zu",
-                         sa.name.c_str(), sa.fields.size(), sb.fields.size())};
+                         sa.name.c_str(), sa.fields.size(), sb.fields.size()),
+              sa.name};
     }
   }
   if (a.sections.size() != b.sections.size()) {
-    return {false, str_format("section counts differ: %zu vs %zu", a.sections.size(),
-                              b.sections.size())};
+    return {false,
+            str_format("section counts differ: %zu vs %zu", a.sections.size(),
+                       b.sections.size()),
+            ""};
   }
-  return {true, "snapshots identical"};
+  return {true, "snapshots identical", ""};
 }
 
 // ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 #pragma once
 // Versioned little-endian snapshot container (resumable run state).
 //
-// Same byte discipline as the SMTYTRC1 trace format (trace/tracer.cpp):
-// every integer is little-endian regardless of host order, doubles travel
-// as raw IEEE-754 bit patterns (bit-exact, no text round-trip), and the
-// reader bounds-checks every length before it allocates or advances.
+// The one binary format in the tree: run snapshots, fleet shard checkpoints,
+// the serve wire protocol and `--trace` files (one `tracer` section) all use
+// it. Every integer is little-endian regardless of host order, doubles
+// travel as raw IEEE-754 bit patterns (bit-exact, no text round-trip), and
+// the reader bounds-checks every length before it allocates or advances.
 //
 // Layout:
 //   magic "SMTYSNP1"
@@ -151,9 +152,8 @@ class Reader {
 };
 
 // ---------------------------------------------------------------------------
-// Generic decode + diff (tools/snapshot_diff), mirroring trace_diff
-// semantics: equal -> exit 0, first divergence named -> exit 1, malformed
-// input -> exception -> exit 2.
+// Generic decode + diff (tools/snapshot_diff): equal -> exit 0, first
+// divergence named -> exit 1, malformed input -> exception -> exit 2.
 
 struct DecodedField {
   FieldType type = FieldType::kU8;
@@ -176,6 +176,9 @@ DecodedSnapshot decode_snapshot(const std::string& bytes);
 struct SnapshotDiff {
   bool equal = false;
   std::string summary;  // first divergence, human-readable
+  /// Name of the first section whose fields diverge; empty when the
+  /// snapshots are equal or their section lists differ.
+  std::string section;
 };
 
 /// Compares two decoded snapshots; names the first divergent

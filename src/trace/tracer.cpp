@@ -1,10 +1,7 @@
 #include "trace/tracer.hpp"
 
 #include <algorithm>
-#include <fstream>
-#include <iterator>
 #include <map>
-#include <stdexcept>
 #include <string_view>
 
 #include "common/check.hpp"
@@ -16,68 +13,6 @@ namespace simty::trace {
 namespace {
 
 thread_local Tracer* g_current = nullptr;
-
-// Binary format (all integers little-endian, independent of host order):
-//   magic "SMTYTRC1"
-//   u32 label_count, then per label: u32 byte length + raw bytes
-//   u64 dropped (ring overwrites)
-//   u64 event_count, then per event:
-//     i64 t_us | u32 label index | u8 kind | u8 category | i64 arg
-constexpr char kMagic[8] = {'S', 'M', 'T', 'Y', 'T', 'R', 'C', '1'};
-constexpr std::size_t kRecordBytes = 8 + 4 + 1 + 1 + 8;
-
-void append_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
-}
-
-void append_i64(std::string& out, std::int64_t v) {
-  append_u64(out, static_cast<std::uint64_t>(v));
-}
-
-/// Bounds-checked little-endian reader over an immutable byte string.
-class Reader {
- public:
-  explicit Reader(const std::string& bytes) : bytes_(bytes) {}
-
-  std::uint32_t read_u32() { return static_cast<std::uint32_t>(read_le(4)); }
-  std::uint64_t read_u64() { return read_le(8); }
-  std::int64_t read_i64() { return static_cast<std::int64_t>(read_le(8)); }
-  std::uint8_t read_u8() { return static_cast<std::uint8_t>(read_le(1)); }
-
-  std::string read_bytes(std::size_t n) {
-    require(n);
-    std::string out = bytes_.substr(pos_, n);
-    pos_ += n;
-    return out;
-  }
-
-  std::size_t remaining() const { return bytes_.size() - pos_; }
-
- private:
-  void require(std::size_t n) const {
-    if (remaining() < n) {
-      throw std::runtime_error("trace: truncated input");
-    }
-  }
-
-  std::uint64_t read_le(std::size_t n) {
-    require(n);
-    std::uint64_t v = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      v |= static_cast<std::uint64_t>(static_cast<unsigned char>(bytes_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += n;
-    return v;
-  }
-
-  const std::string& bytes_;
-  std::size_t pos_ = 0;
-};
 
 std::string json_escape(const char* s) {
   std::string out;
@@ -98,14 +33,6 @@ std::string json_escape(const char* s) {
     }
   }
   return out;
-}
-
-void write_file(const std::string& path, const std::string& bytes,
-                const char* what) {
-  std::ofstream f(path, std::ios::binary);
-  if (!f) throw std::runtime_error(std::string(what) + ": cannot open " + path);
-  f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  if (!f) throw std::runtime_error(std::string(what) + ": write failed for " + path);
 }
 
 }  // namespace
@@ -131,104 +58,42 @@ const char* to_string(TraceEventKind k) {
   return "?";
 }
 
-Tracer::Tracer(std::size_t ring_capacity, common::Arena* arena)
-    : ring_capacity_(ring_capacity), arena_(arena), chunks_(arena), ring_(arena) {
-  if (ring_capacity_ > 0) {
-    ring_.resize(ring_capacity_);
-  } else {
-    // Pre-allocate the first chunk so steady state never allocates on the
-    // recording path until a chunk boundary.
-    chunks_.emplace_back(arena_);
-    chunks_[0].reserve(kChunkEvents);
-  }
-}
-
-void Tracer::record(const TraceEvent& e) {
-  if (ring_capacity_ > 0) {
-    if (ring_full_) ++dropped_;
-    ring_[ring_next_] = e;
-    ring_next_ = (ring_next_ + 1) % ring_capacity_;
-    if (ring_next_ == 0 && !ring_full_) ring_full_ = true;
-    return;
-  }
-  if (chunks_[current_chunk_].size() == kChunkEvents) {
-    // Advance into a chunk retained by clear() when one exists; only a
-    // fresh high-water mark allocates.
-    ++current_chunk_;
-    if (current_chunk_ == chunks_.size()) {
-      chunks_.emplace_back(arena_);
-      chunks_[current_chunk_].reserve(kChunkEvents);
-    }
-  }
-  chunks_[current_chunk_].push_back(e);
-}
-
 void Tracer::span_begin(TimePoint when, TraceCategory category, const char* label,
                         std::int64_t arg) {
   ++open_spans_;
-  record(TraceEvent{when.us(), label, arg, TraceEventKind::kSpanBegin, category});
+  events_.push_back(
+      TraceEvent{when.us(), label, arg, TraceEventKind::kSpanBegin, category});
 }
 
 void Tracer::span_end(TimePoint when, TraceCategory category, const char* label,
                       std::int64_t arg) {
   SIMTY_CHECK_MSG(open_spans_ > 0, "Tracer::span_end without a matching begin");
   --open_spans_;
-  record(TraceEvent{when.us(), label, arg, TraceEventKind::kSpanEnd, category});
+  events_.push_back(
+      TraceEvent{when.us(), label, arg, TraceEventKind::kSpanEnd, category});
 }
 
 void Tracer::instant(TimePoint when, TraceCategory category, const char* label,
                      std::int64_t arg) {
-  record(TraceEvent{when.us(), label, arg, TraceEventKind::kInstant, category});
+  events_.push_back(
+      TraceEvent{when.us(), label, arg, TraceEventKind::kInstant, category});
 }
 
 void Tracer::counter(TimePoint when, TraceCategory category, const char* label,
                      std::int64_t value) {
-  record(TraceEvent{when.us(), label, value, TraceEventKind::kCounter, category});
-}
-
-std::size_t Tracer::size() const {
-  if (ring_capacity_ > 0) return ring_full_ ? ring_capacity_ : ring_next_;
-  std::size_t n = 0;
-  for (const auto& chunk : chunks_) n += chunk.size();
-  return n;
+  events_.push_back(
+      TraceEvent{when.us(), label, value, TraceEventKind::kCounter, category});
 }
 
 void Tracer::clear() {
-  if (ring_capacity_ > 0) {
-    ring_next_ = 0;
-    ring_full_ = false;
-  } else {
-    // Retain every grown chunk (and its capacity) for the next run.
-    for (std::size_t i = 0; i <= current_chunk_; ++i) chunks_[i].clear();
-    current_chunk_ = 0;
-  }
-  dropped_ = 0;
+  events_.clear();
   open_spans_ = 0;
 }
 
-std::vector<TraceEvent> Tracer::snapshot() const {
-  std::vector<TraceEvent> out;
-  out.reserve(size());
-  if (ring_capacity_ > 0) {
-    if (ring_full_) {
-      out.insert(out.end(), ring_.begin() + static_cast<std::ptrdiff_t>(ring_next_),
-                 ring_.end());
-    }
-    out.insert(out.end(), ring_.begin(),
-               ring_.begin() + static_cast<std::ptrdiff_t>(ring_next_));
-  } else {
-    for (const auto& chunk : chunks_) {
-      out.insert(out.end(), chunk.begin(), chunk.end());
-    }
-  }
-  return out;
-}
-
 std::string Tracer::chrome_json() const {
-  const std::vector<TraceEvent> events = snapshot();
   std::string out = "{\"traceEvents\":[";
   bool first = true;
-  for (const TraceEvent& e : events) {
+  for (const TraceEvent& e : events_) {
     out += first ? "\n" : ",\n";
     first = false;
     const std::string name = json_escape(e.label);
@@ -266,64 +131,26 @@ std::string Tracer::chrome_json() const {
   return out;
 }
 
-std::string Tracer::binary() const {
-  const std::vector<TraceEvent> events = snapshot();
-
+void Tracer::save(snapshot::Writer& w) const {
   // Dedup labels by CONTENT in first-appearance order: two runs recording
-  // the same event sequence get identical tables even though the label
+  // the same event sequence save identical tables even though the label
   // pointers differ between processes (or interner states).
   std::map<std::string, std::uint32_t> ids;
   std::vector<const char*> table;
-  std::vector<std::uint32_t> event_label(events.size());
-  for (std::size_t i = 0; i < events.size(); ++i) {
+  std::vector<std::uint32_t> event_label(events_.size());
+  for (std::size_t i = 0; i < events_.size(); ++i) {
     const auto [it, inserted] =
-        ids.emplace(events[i].label, static_cast<std::uint32_t>(table.size()));
-    if (inserted) table.push_back(events[i].label);
-    event_label[i] = it->second;
-  }
-
-  std::string out(kMagic, sizeof(kMagic));
-  append_u32(out, static_cast<std::uint32_t>(table.size()));
-  for (const char* label : table) {
-    const std::string_view s(label);
-    append_u32(out, static_cast<std::uint32_t>(s.size()));
-    out.append(s);
-  }
-  append_u64(out, dropped_);
-  append_u64(out, static_cast<std::uint64_t>(events.size()));
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const TraceEvent& e = events[i];
-    append_i64(out, e.t_us);
-    append_u32(out, event_label[i]);
-    out.push_back(static_cast<char>(e.kind));
-    out.push_back(static_cast<char>(e.category));
-    append_i64(out, e.arg);
-  }
-  return out;
-}
-
-void Tracer::save(snapshot::Writer& w) const {
-  const std::vector<TraceEvent> events = snapshot();
-
-  // Same content-dedup-in-first-appearance-order table as binary(), so a
-  // save/restore round trip re-exports byte-identical artifacts.
-  std::map<std::string, std::uint32_t> ids;
-  std::vector<const char*> table;
-  std::vector<std::uint32_t> event_label(events.size());
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const auto [it, inserted] =
-        ids.emplace(events[i].label, static_cast<std::uint32_t>(table.size()));
-    if (inserted) table.push_back(events[i].label);
+        ids.emplace(events_[i].label, static_cast<std::uint32_t>(table.size()));
+    if (inserted) table.push_back(events_[i].label);
     event_label[i] = it->second;
   }
 
   w.u64(table.size());
   for (const char* label : table) w.str(label);
-  w.u64(dropped_);
   w.i64(open_spans_);
-  w.u64(events.size());
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const TraceEvent& e = events[i];
+  w.u64(events_.size());
+  for (std::size_t i = 0; i < events_.size(); ++i) {
+    const TraceEvent& e = events_[i];
     w.i64(e.t_us);
     w.u32(event_label[i]);
     w.u8(static_cast<std::uint8_t>(e.kind));
@@ -341,12 +168,12 @@ void Tracer::restore(snapshot::SectionReader& s) {
   for (std::uint64_t i = 0; i < label_count; ++i) {
     restored_labels_.push_back(std::make_unique<std::string>(s.str()));
   }
-  const std::uint64_t dropped = s.u64();
   const std::int64_t open_spans = s.i64();
   SIMTY_CHECK_MSG(open_spans >= 0, "Tracer::restore: negative open span count");
   const std::uint64_t event_count = s.u64();
   // Per event: i64(9) + u32(5) + 2 u8(4) + i64(9).
   s.check_count(event_count, 27);
+  events_.reserve(event_count);
   for (std::uint64_t i = 0; i < event_count; ++i) {
     TraceEvent e;
     e.t_us = s.i64();
@@ -363,20 +190,21 @@ void Tracer::restore(snapshot::SectionReader& s) {
     e.kind = static_cast<TraceEventKind>(kind);
     e.category = static_cast<TraceCategory>(category);
     e.arg = s.i64();
-    record(e);
+    events_.push_back(e);
   }
-  // record() in ring mode counts wraparound drops; the saved counters are
-  // authoritative for the restored state.
-  dropped_ = dropped;
   open_spans_ = open_spans;
 }
 
 void Tracer::save_chrome_json(const std::string& path) const {
-  write_file(path, chrome_json(), "Tracer::save_chrome_json");
+  snapshot::write_file(path, chrome_json());
 }
 
-void Tracer::save_binary(const std::string& path) const {
-  write_file(path, binary(), "Tracer::save_binary");
+void Tracer::save_file(const std::string& path) const {
+  snapshot::Writer w;
+  w.begin_section(kSection, kFileVersion);
+  save(w);
+  w.end_section();
+  snapshot::write_file(path, w.finish());
 }
 
 Tracer* current() { return g_current; }
@@ -387,101 +215,44 @@ TraceScope::TraceScope(Tracer* tracer) : previous_(g_current) {
 
 TraceScope::~TraceScope() { g_current = previous_; }
 
-DecodedTrace decode_trace(const std::string& bytes) {
-  Reader in(bytes);
-  if (in.read_bytes(sizeof(kMagic)) != std::string(kMagic, sizeof(kMagic))) {
-    throw std::runtime_error("trace: bad magic (not a SIMTY binary trace)");
-  }
-  DecodedTrace t;
-  const std::uint32_t label_count = in.read_u32();
-  t.labels.reserve(label_count);
-  for (std::uint32_t i = 0; i < label_count; ++i) {
-    const std::uint32_t len = in.read_u32();
-    t.labels.push_back(in.read_bytes(len));
-  }
-  t.dropped = in.read_u64();
-  const std::uint64_t event_count = in.read_u64();
-  if (in.remaining() != event_count * kRecordBytes) {
-    throw std::runtime_error("trace: event payload size mismatch");
-  }
-  t.events.reserve(event_count);
-  for (std::uint64_t i = 0; i < event_count; ++i) {
-    DecodedEvent e;
-    e.t_us = in.read_i64();
-    e.label = in.read_u32();
-    const std::uint8_t kind = in.read_u8();
-    const std::uint8_t category = in.read_u8();
-    e.arg = in.read_i64();
-    if (kind > static_cast<std::uint8_t>(TraceEventKind::kCounter)) {
-      throw std::runtime_error("trace: bad event kind");
-    }
-    if (category > static_cast<std::uint8_t>(TraceCategory::kExp)) {
-      throw std::runtime_error("trace: bad event category");
-    }
-    if (e.label >= t.labels.size()) {
-      throw std::runtime_error("trace: label index out of range");
-    }
-    e.kind = static_cast<TraceEventKind>(kind);
-    e.category = static_cast<TraceCategory>(category);
-    t.events.push_back(e);
-  }
-  return t;
-}
-
-DecodedTrace load_trace(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) throw std::runtime_error("trace: cannot open " + path);
-  std::string bytes((std::istreambuf_iterator<char>(f)),
-                    std::istreambuf_iterator<char>());
-  return decode_trace(bytes);
-}
-
 namespace {
 
-std::string format_event(const DecodedTrace& t, std::size_t i) {
-  const DecodedEvent& e = t.events[i];
+std::string format_event(const std::vector<TraceEvent>& events, std::size_t i) {
+  const TraceEvent& e = events[i];
   return str_format("event %zu: t=%lldus %s/%s \"%s\" arg=%lld", i,
                     static_cast<long long>(e.t_us), to_string(e.category),
-                    to_string(e.kind), t.label_of(e).c_str(),
-                    static_cast<long long>(e.arg));
+                    to_string(e.kind), e.label, static_cast<long long>(e.arg));
 }
 
 }  // namespace
 
-TraceDiff diff_traces(const DecodedTrace& a, const DecodedTrace& b) {
+TraceDiff diff_traces(const Tracer& a, const Tracer& b) {
+  const std::vector<TraceEvent>& ea = a.snapshot();
+  const std::vector<TraceEvent>& eb = b.snapshot();
   TraceDiff d;
-  const std::size_t common = std::min(a.events.size(), b.events.size());
+  const std::size_t common = std::min(ea.size(), eb.size());
   for (std::size_t i = 0; i < common; ++i) {
-    const DecodedEvent& ea = a.events[i];
-    const DecodedEvent& eb = b.events[i];
-    const bool same = ea.t_us == eb.t_us && ea.arg == eb.arg &&
-                      ea.kind == eb.kind && ea.category == eb.category &&
-                      a.label_of(ea) == b.label_of(eb);
+    const bool same = ea[i].t_us == eb[i].t_us && ea[i].arg == eb[i].arg &&
+                      ea[i].kind == eb[i].kind && ea[i].category == eb[i].category &&
+                      std::string_view(ea[i].label) == std::string_view(eb[i].label);
     if (!same) {
       d.first_divergence = i;
       d.summary = str_format("traces diverge at event %zu:\n  a: %s\n  b: %s", i,
-                             format_event(a, i).c_str(), format_event(b, i).c_str());
+                             format_event(ea, i).c_str(), format_event(eb, i).c_str());
       return d;
     }
   }
-  if (a.events.size() != b.events.size()) {
-    const DecodedTrace& longer = a.events.size() > b.events.size() ? a : b;
+  if (ea.size() != eb.size()) {
+    const std::vector<TraceEvent>& longer = ea.size() > eb.size() ? ea : eb;
     d.first_divergence = common;
     d.summary = str_format(
         "traces share %zu events, then %s has %zu extra:\n  first extra: %s",
-        common, a.events.size() > b.events.size() ? "a" : "b",
-        longer.events.size() - common, format_event(longer, common).c_str());
-    return d;
-  }
-  if (a.dropped != b.dropped) {
-    d.summary = str_format(
-        "events identical but drop counts differ (a: %llu, b: %llu)",
-        static_cast<unsigned long long>(a.dropped),
-        static_cast<unsigned long long>(b.dropped));
+        common, ea.size() > eb.size() ? "a" : "b", longer.size() - common,
+        format_event(longer, common).c_str());
     return d;
   }
   d.equal = true;
-  d.summary = str_format("traces identical (%zu events)", a.events.size());
+  d.summary = str_format("traces identical (%zu events)", ea.size());
   return d;
 }
 

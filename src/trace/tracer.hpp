@@ -6,15 +6,14 @@
 // that decides behavior (event loop, alarm batching, device FSM, wakelocks,
 // RRC machine, experiment boundaries) records spans / instants / counters
 // stamped with VIRTUAL time, so two runs of the same config must produce
-// byte-identical traces — and when they don't, tools/trace_diff points at
-// the first divergent event instead of leaving a whodunit over end-of-run
+// byte-identical traces — and when they don't, tools/snapshot_diff points
+// at the first divergent event instead of leaving a whodunit over end-of-run
 // aggregates.
 //
 // Hot-path rules (same as the event queue's): labels are `const char*`
 // string literals (intern_label() for computed ones), events are fixed-size
-// PODs, and storage is slab-backed — a growable arena of fixed-size chunks
-// (the default; allocation only on a chunk boundary) or a fixed-capacity
-// ring that overwrites the oldest events and counts the drops.
+// PODs, and storage is one vector whose clear() keeps its capacity, so a
+// reused tracer records allocation-free up to its high-water mark.
 //
 // Enabling has three layers:
 //   - compiled out: -DSIMTY_TRACING=OFF defines SIMTY_TRACE_DISABLED and
@@ -32,7 +31,6 @@
 #include <string>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "common/time.hpp"
 
 namespace simty::snapshot {
@@ -71,12 +69,7 @@ struct TraceEvent {
 /// enablement model. Not thread-safe — one tracer per (thread-local) run.
 class Tracer {
  public:
-  /// `ring_capacity == 0` (default) selects the growable chunked arena;
-  /// a positive capacity selects a fixed ring that overwrites the oldest
-  /// events once full (dropped() counts the overwrites). A non-null
-  /// `arena` backs the event storage (chunk payloads / the ring buffer);
-  /// it must outlive the tracer and must not be reset while it lives.
-  explicit Tracer(std::size_t ring_capacity = 0, common::Arena* arena = nullptr);
+  Tracer() = default;
 
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
@@ -90,56 +83,40 @@ class Tracer {
   void counter(TimePoint when, TraceCategory category, const char* label,
                std::int64_t value);
 
-  /// Events currently held (ring mode: at most the capacity).
-  std::size_t size() const;
-
-  /// Events overwritten by ring wraparound (always 0 in arena mode).
-  std::uint64_t dropped() const { return dropped_; }
+  /// Events currently held.
+  std::size_t size() const { return events_.size(); }
 
   /// Current span nesting depth (begins minus ends); span_end below zero
   /// throws, which is how unbalanced instrumentation fails fast.
   std::int64_t open_spans() const { return open_spans_; }
 
-  /// Drops every recorded event. Storage is retained — including every
-  /// already-grown chunk, so a reused tracer records allocation-free up to
-  /// its high-water mark.
+  /// Drops every recorded event; the storage keeps its capacity.
   void clear();
 
-  /// Copies the held events out in record order (ring mode: oldest first).
-  std::vector<TraceEvent> snapshot() const;
+  /// The held events in record order.
+  const std::vector<TraceEvent>& snapshot() const { return events_; }
 
   /// Chrome trace-event JSON (load in Perfetto / chrome://tracing).
   std::string chrome_json() const;
 
-  /// Compact binary export; see decode_trace() for the format contract.
-  std::string binary() const;
-
-  /// File wrappers; throw std::runtime_error on I/O failure.
-  void save_chrome_json(const std::string& path) const;
-  void save_binary(const std::string& path) const;
-
-  /// Serializes the held events (labels deduplicated by content, like
-  /// binary()) plus the drop and open-span counters. restore() replaces
+  /// Serializes the held events (labels deduplicated by content, in
+  /// first-appearance order) plus the open-span count. restore() replaces
   /// this tracer's contents; restored labels are owned by the tracer, so
   /// subsequent exports are byte-identical to the saved run's.
   void save(snapshot::Writer& w) const;
   void restore(snapshot::SectionReader& s);
 
+  /// File writers; throw std::runtime_error on I/O failure. save_file()
+  /// writes a snapshot container whose one section, kSection at
+  /// kFileVersion, holds save()'s payload (the `--trace` format).
+  void save_chrome_json(const std::string& path) const;
+  void save_file(const std::string& path) const;
+
+  static constexpr const char* kSection = "tracer";
+  static constexpr std::uint32_t kFileVersion = 1;
+
  private:
-  void record(const TraceEvent& e);
-
-  static constexpr std::size_t kChunkEvents = 16384;
-
-  std::size_t ring_capacity_;  // 0 = chunked mode
-  common::Arena* arena_;       // optional backing for chunks_/ring_ payloads
-  // Chunked storage: chunks_[0..current_chunk_] hold events; chunks past
-  // current_chunk_ are empty, retained by clear() for reuse.
-  common::ArenaVector<common::ArenaVector<TraceEvent>> chunks_;
-  std::size_t current_chunk_ = 0;
-  common::ArenaVector<TraceEvent> ring_;  // ring storage
-  std::size_t ring_next_ = 0;
-  bool ring_full_ = false;
-  std::uint64_t dropped_ = 0;
+  std::vector<TraceEvent> events_;
   std::int64_t open_spans_ = 0;
   // Labels brought in by restore(); unique_ptr keeps the c_str() addresses
   // stable across vector growth, which TraceEvent::label relies on.
@@ -164,41 +141,10 @@ class TraceScope {
 };
 
 // ---------------------------------------------------------------------------
-// Decoded traces and diffing (the testable core of tools/trace_diff).
+// Event-level diffing (the trace-aware verdict of tools/snapshot_diff).
 
-/// A decoded binary-format event; `label` indexes DecodedTrace::labels.
-struct DecodedEvent {
-  std::int64_t t_us = 0;
-  std::uint32_t label = 0;
-  std::int64_t arg = 0;
-  TraceEventKind kind = TraceEventKind::kInstant;
-  TraceCategory category = TraceCategory::kSim;
-
-  bool operator==(const DecodedEvent&) const = default;
-};
-
-/// Result of decoding a binary trace. Labels are content-deduplicated in
-/// first-appearance order, so identical runs decode to identical tables.
-struct DecodedTrace {
-  std::vector<std::string> labels;
-  std::vector<DecodedEvent> events;
-  std::uint64_t dropped = 0;
-
-  const std::string& label_of(const DecodedEvent& e) const {
-    return labels[e.label];
-  }
-};
-
-/// Parses Tracer::binary() output; throws std::runtime_error on malformed
-/// input (bad magic, truncation, out-of-range enums or label indices,
-/// trailing bytes).
-DecodedTrace decode_trace(const std::string& bytes);
-
-/// Reads and decodes a binary trace file.
-DecodedTrace load_trace(const std::string& path);
-
-/// Outcome of comparing two decoded traces event by event (labels compared
-/// by content, so differing table layouts alone cannot mask a divergence).
+/// Outcome of comparing two traces event by event (labels compared by
+/// content, so differing label storage alone cannot mask a divergence).
 struct TraceDiff {
   bool equal = false;
   /// Index of the first differing event when both traces have one.
@@ -207,7 +153,7 @@ struct TraceDiff {
   std::string summary;
 };
 
-TraceDiff diff_traces(const DecodedTrace& a, const DecodedTrace& b);
+TraceDiff diff_traces(const Tracer& a, const Tracer& b);
 
 }  // namespace simty::trace
 

@@ -232,7 +232,7 @@ TEST(FleetRunner, TracerRecordsBalancedFleetSpansIdentically) {
   EXPECT_GT(serial_tracer.size(), 0u);
   // Fleet-level tracing happens on the calling thread only, so the trace
   // is identical whether the shards ran serially or on workers.
-  EXPECT_EQ(serial_tracer.binary(), parallel_tracer.binary());
+  EXPECT_EQ(serial_tracer.chrome_json(), parallel_tracer.chrome_json());
 }
 
 TEST(FleetReport, RendersEveryCohortAndCsvShape) {

@@ -135,7 +135,8 @@ TEST(RunSnapshotTest, BinaryTraceSurvivesCheckpoint) {
     resumed.restore_snapshot(snap);
     resumed.finish();
   }
-  EXPECT_EQ(straight_tracer.binary(), resumed_tracer.binary());
+  EXPECT_TRUE(trace::diff_traces(straight_tracer, resumed_tracer).equal);
+  EXPECT_EQ(straight_tracer.chrome_json(), resumed_tracer.chrome_json());
 }
 
 TEST(RunSnapshotTest, CheckpointResumeWithDozeMatches) {
@@ -340,16 +341,17 @@ std::string with_section_version(std::string bytes, std::uint32_t version) {
 
 TEST(RunSnapshotTest, RestoreRejectsOlderSectionVersions) {
   // Version 2 alarms sections carried two per-queue counters that version 3
-  // dropped, and version 3 sim sections carried the staged-batch queue
-  // layout; an old snapshot must fail loudly instead of being misread.
+  // dropped, version 3 sim sections carried the staged-batch queue layout,
+  // and version 4 tracer sections carried a ring drop count; an old
+  // snapshot must fail loudly instead of being misread.
   const ExperimentConfig config = base_config(PolicyKind::kSimty);
   exp::Run first(config);
   first.advance_to_quiescent(TimePoint::origin() + Duration::minutes(30));
   const std::string snap = first.save_snapshot();
 
   exp::Run same(config);
-  EXPECT_NO_THROW(same.restore_snapshot(with_section_version(snap, 4)));
-  for (const std::uint32_t version : {2u, 3u}) {
+  EXPECT_NO_THROW(same.restore_snapshot(with_section_version(snap, 5)));
+  for (const std::uint32_t version : {2u, 3u, 4u}) {
     exp::Run old(config);
     EXPECT_THROW(old.restore_snapshot(with_section_version(snap, version)),
                  std::logic_error)

@@ -1,7 +1,8 @@
 // Snapshot container format: field-level round-trips, version and tag
 // discipline, the generic decode/diff used by tools/snapshot_diff, and —
-// the hostile-input satellite — a randomized-corruption sweep asserting
-// that every mangled container is either decoded or rejected with
+// the hostile-input satellite — randomized-corruption sweeps asserting
+// that every mangled container (and every mangled `--trace` file fed
+// through Tracer::restore) is either decoded or rejected with
 // std::logic_error via SIMTY_CHECK, never undefined behavior. The suite
 // runs under the sanitizer CI job, which is what turns "never UB" from a
 // comment into a checked property.
@@ -14,6 +15,7 @@
 
 #include "common/rng.hpp"
 #include "snapshot/snapshot.hpp"
+#include "trace/tracer.hpp"
 
 namespace simty::snapshot {
 namespace {
@@ -94,6 +96,7 @@ TEST(SnapshotFormat, DecodeAndDiffNameTheFirstDivergence) {
   const SnapshotDiff diff = diff_snapshots(a, decode_snapshot(w.finish()));
   EXPECT_FALSE(diff.equal);
   EXPECT_NE(diff.summary.find("alpha"), std::string::npos);
+  EXPECT_EQ(diff.section, "alpha");
 }
 
 TEST(SnapshotFormat, FileRoundTripAndAtomicWrite) {
@@ -116,6 +119,32 @@ TEST(SnapshotFormat, ObviousMalformationsAreRejected) {
   EXPECT_THROW(Reader(good + "trailing"), std::logic_error);
 }
 
+// One random corruption of `good`: a byte flip, a multi-byte stomp, a
+// truncation, or a grafted tail.
+std::string mangle(const std::string& good, Rng& rng) {
+  std::string bytes = good;
+  const std::uint32_t kind = rng.next_below(4);
+  if (kind == 0) {  // single byte flip
+    bytes[rng.next_below(static_cast<std::uint32_t>(bytes.size()))] ^=
+        static_cast<char>(1 + rng.next_below(255));
+  } else if (kind == 1) {  // stomp a run of bytes
+    const std::size_t at = rng.next_below(static_cast<std::uint32_t>(bytes.size()));
+    const std::size_t len =
+        std::min<std::size_t>(1 + rng.next_below(8), bytes.size() - at);
+    for (std::size_t i = 0; i < len; ++i) {
+      bytes[at + i] = static_cast<char>(rng.next_u32());
+    }
+  } else if (kind == 2) {  // truncate
+    bytes.resize(rng.next_below(static_cast<std::uint32_t>(bytes.size())));
+  } else {  // inflate: graft random tail bytes
+    const std::size_t extra = 1 + rng.next_below(32);
+    for (std::size_t i = 0; i < extra; ++i) {
+      bytes.push_back(static_cast<char>(rng.next_u32()));
+    }
+  }
+  return bytes;
+}
+
 TEST(SnapshotFormat, RandomizedCorruptionNeverEscapesTheChecks) {
   // Fuzz-style sweep: mangle a real container thousands of ways — byte
   // flips, multi-byte stomps, truncations, length-field inflations — and
@@ -126,29 +155,8 @@ TEST(SnapshotFormat, RandomizedCorruptionNeverEscapesTheChecks) {
   Rng rng(0xf02d, 17);
   int rejected = 0, survived = 0;
   for (int round = 0; round < 4000; ++round) {
-    std::string bytes = good;
-    const std::uint32_t kind = rng.next_below(4);
-    if (kind == 0) {  // single byte flip
-      bytes[rng.next_below(static_cast<std::uint32_t>(bytes.size()))] ^=
-          static_cast<char>(1 + rng.next_below(255));
-    } else if (kind == 1) {  // stomp a run of bytes
-      const std::size_t at =
-          rng.next_below(static_cast<std::uint32_t>(bytes.size()));
-      const std::size_t len =
-          std::min<std::size_t>(1 + rng.next_below(8), bytes.size() - at);
-      for (std::size_t i = 0; i < len; ++i) {
-        bytes[at + i] = static_cast<char>(rng.next_u32());
-      }
-    } else if (kind == 2) {  // truncate
-      bytes.resize(rng.next_below(static_cast<std::uint32_t>(bytes.size())));
-    } else {  // inflate: graft random tail bytes
-      const std::size_t extra = 1 + rng.next_below(32);
-      for (std::size_t i = 0; i < extra; ++i) {
-        bytes.push_back(static_cast<char>(rng.next_u32()));
-      }
-    }
     try {
-      const DecodedSnapshot decoded = decode_snapshot(bytes);
+      const DecodedSnapshot decoded = decode_snapshot(mangle(good, rng));
       // Data-byte corruption can still be a well-formed container;
       // decoding it is the acceptable outcome.
       survived += static_cast<int>(!decoded.sections.empty());
@@ -158,6 +166,38 @@ TEST(SnapshotFormat, RandomizedCorruptionNeverEscapesTheChecks) {
   }
   // The sweep must exercise both outcomes, or the corruptions are too
   // tame / too wild to mean anything.
+  EXPECT_GT(rejected, 100);
+  EXPECT_GT(survived, 10);
+}
+
+TEST(SnapshotFormat, RandomizedTracerCorruptionNeverEscapesTheChecks) {
+  // The same sweep over a `--trace` file, fed through Tracer::restore —
+  // the only decoder of trace bytes. A mangled label index, enum byte,
+  // span count or event count must surface as std::logic_error.
+  trace::Tracer t;
+  t.span_begin(TimePoint::from_us(1), trace::TraceCategory::kExp, "run", 7);
+  t.instant(TimePoint::from_us(2), trace::TraceCategory::kAlarm, "batch-join", 3);
+  t.counter(TimePoint::from_us(3), trace::TraceCategory::kHw, "cpu-locks", 1);
+  t.span_end(TimePoint::from_us(4), trace::TraceCategory::kExp, "run", 7);
+  Writer w;
+  w.begin_section(trace::Tracer::kSection, trace::Tracer::kFileVersion);
+  t.save(w);
+  w.end_section();
+  const std::string good = w.finish();
+  Rng rng(0x7ace, 5);
+  int rejected = 0, survived = 0;
+  for (int round = 0; round < 4000; ++round) {
+    try {
+      const Reader reader(mangle(good, rng));
+      SectionReader s =
+          reader.section(trace::Tracer::kSection, trace::Tracer::kFileVersion);
+      trace::Tracer restored;
+      restored.restore(s);
+      ++survived;
+    } catch (const std::logic_error&) {
+      ++rejected;
+    }
+  }
   EXPECT_GT(rejected, 100);
   EXPECT_GT(survived, 10);
 }

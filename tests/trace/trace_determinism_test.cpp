@@ -1,8 +1,9 @@
-// The trace-diff gate's in-tree core: the binary trace of a run must be a
+// The trace determinism gate's in-tree core: the trace of a run must be a
 // pure function of the config — identical whether the surrounding
 // repetition batch ran serially or on the thread pool — and a perturbed
-// config must produce a trace whose first divergence trace_diff can name.
-// CI repeats the same check end-to-end through simty_run + tools/trace_diff.
+// config must produce a trace whose first divergent event diff_traces can
+// name. CI repeats the same check end-to-end through simty_run --trace and
+// tools/snapshot_diff.
 
 #include <gtest/gtest.h>
 
@@ -34,13 +35,11 @@ TEST(TraceDeterminism, SerialAndParallelRunsProduceIdenticalTraces) {
 
   ASSERT_GT(serial_t.size(), 0u);
   EXPECT_EQ(serial_t.size(), parallel_t.size());
-  // Byte-identical binaries, not just equal summaries: this is the same
-  // comparison the CI job makes with cmp on the exported files.
-  EXPECT_EQ(serial_t.binary(), parallel_t.binary());
-  const trace::TraceDiff d = trace::diff_traces(
-      trace::decode_trace(serial_t.binary()),
-      trace::decode_trace(parallel_t.binary()));
+  // Every event identical, not just equal summaries: the CI job makes the
+  // same check with cmp on the exported files.
+  const trace::TraceDiff d = trace::diff_traces(serial_t, parallel_t);
   EXPECT_TRUE(d.equal) << d.summary;
+  EXPECT_EQ(serial_t.chrome_json(), parallel_t.chrome_json());
 }
 
 TEST(TraceDeterminism, RepeatedIdenticalRunsProduceIdenticalTraces) {
@@ -50,7 +49,7 @@ TEST(TraceDeterminism, RepeatedIdenticalRunsProduceIdenticalTraces) {
   run_experiment(c);
   c.tracer = &second;
   run_experiment(c);
-  EXPECT_EQ(first.binary(), second.binary());
+  EXPECT_EQ(first.chrome_json(), second.chrome_json());
 }
 
 TEST(TraceDeterminism, PerturbedSeedDivergesAndDiffPinpointsIt) {
@@ -64,9 +63,7 @@ TEST(TraceDeterminism, PerturbedSeedDivergesAndDiffPinpointsIt) {
   other_c.tracer = &other_t;
   run_experiment(other_c);
 
-  const trace::TraceDiff d = trace::diff_traces(
-      trace::decode_trace(base_t.binary()),
-      trace::decode_trace(other_t.binary()));
+  const trace::TraceDiff d = trace::diff_traces(base_t, other_t);
   EXPECT_FALSE(d.equal);
   ASSERT_TRUE(d.first_divergence.has_value());
   // The run span carries the seed as its arg, so the two traces disagree
@@ -87,7 +84,7 @@ TEST(TraceDeterminism, TracerRidesTheBaseSeedOnlyInRepetitionBatches) {
   run_experiment(single);
 
   // Three repetitions do not triple the trace: seeds 2 and 3 run untraced.
-  EXPECT_EQ(repeated_t.binary(), single_t.binary());
+  EXPECT_EQ(repeated_t.chrome_json(), single_t.chrome_json());
 }
 
 }  // namespace

@@ -4,6 +4,10 @@
 
 #include <cstdio>
 #include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "snapshot/snapshot.hpp"
 
 namespace simty::trace {
 namespace {
@@ -28,7 +32,6 @@ TEST(Tracer, RecordsAllEventKindsInOrder) {
   EXPECT_EQ(events[2].arg, 1);
   EXPECT_EQ(events[3].kind, TraceEventKind::kSpanEnd);
   EXPECT_EQ(t.size(), 4u);
-  EXPECT_EQ(t.dropped(), 0u);
 }
 
 TEST(Tracer, SpanNestingIsTrackedAndUnderflowThrows) {
@@ -44,42 +47,35 @@ TEST(Tracer, SpanNestingIsTrackedAndUnderflowThrows) {
                std::logic_error);
 }
 
-TEST(Tracer, RingModeKeepsTheNewestEventsAndCountsDrops) {
-  Tracer t(8);
-  for (int i = 0; i < 20; ++i) {
-    t.instant(at_us(i), TraceCategory::kSim, "tick", i);
-  }
-  EXPECT_EQ(t.size(), 8u);
-  EXPECT_EQ(t.dropped(), 12u);
-  const std::vector<TraceEvent> events = t.snapshot();
-  ASSERT_EQ(events.size(), 8u);
-  // Oldest-first: args 12..19 survive.
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(events[static_cast<std::size_t>(i)].arg, 12 + i);
-}
-
-TEST(Tracer, ArenaGrowsAcrossChunkBoundaries) {
+TEST(Tracer, StorageGrowsWithoutDroppingEvents) {
   Tracer t;
-  const std::size_t n = 16384 + 100;  // one chunk plus change
+  const std::size_t n = 100000;  // many doublings of the event vector
   for (std::size_t i = 0; i < n; ++i) {
     t.instant(at_us(static_cast<std::int64_t>(i)), TraceCategory::kSim, "tick",
               static_cast<std::int64_t>(i));
   }
-  EXPECT_EQ(t.size(), n);
-  EXPECT_EQ(t.dropped(), 0u);
-  const std::vector<TraceEvent> events = t.snapshot();
-  EXPECT_EQ(events.front().arg, 0);
-  EXPECT_EQ(events.back().arg, static_cast<std::int64_t>(n - 1));
+  ASSERT_EQ(t.size(), n);
+  const std::vector<TraceEvent>& events = t.snapshot();
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(events[i].arg, static_cast<std::int64_t>(i));
+  }
 }
 
 TEST(Tracer, ClearRetainsStorageDropsEvents) {
   Tracer t;
-  t.instant(at_us(1), TraceCategory::kSim, "tick", 1);
-  t.span_begin(at_us(2), TraceCategory::kSim, "open");
+  for (int i = 0; i < 1000; ++i) t.instant(at_us(i), TraceCategory::kSim, "tick", i);
+  t.span_begin(at_us(1000), TraceCategory::kSim, "open");
+  const TraceEvent* storage = t.snapshot().data();
+  const std::size_t capacity = t.snapshot().capacity();
   t.clear();
   EXPECT_EQ(t.size(), 0u);
   EXPECT_EQ(t.open_spans(), 0);
-  t.instant(at_us(3), TraceCategory::kSim, "tick", 3);
-  EXPECT_EQ(t.size(), 1u);
+  // Re-recording up to the high-water mark reuses the same buffer: a
+  // reused tracer records allocation-free.
+  for (int i = 0; i < 1001; ++i) t.instant(at_us(i), TraceCategory::kSim, "tick", i);
+  EXPECT_EQ(t.size(), 1001u);
+  EXPECT_EQ(t.snapshot().data(), storage);
+  EXPECT_EQ(t.snapshot().capacity(), capacity);
 }
 
 TEST(Tracer, MacrosAreNoOpsWithoutAnInstalledTracer) {
@@ -140,56 +136,132 @@ TEST(Tracer, ChromeJsonEscapesHostileLabels) {
   EXPECT_NE(json.find("quo\\\"te\\\\slash\\nline"), std::string::npos);
 }
 
-TEST(Tracer, BinaryRoundTripsThroughDecode) {
+std::string saved(const Tracer& t) {
+  snapshot::Writer w;
+  w.begin_section(Tracer::kSection, Tracer::kFileVersion);
+  t.save(w);
+  w.end_section();
+  return w.finish();
+}
+
+void restore_into(Tracer& t, const std::string& bytes) {
+  const snapshot::Reader reader(bytes);
+  snapshot::SectionReader s = reader.section(Tracer::kSection, Tracer::kFileVersion);
+  t.restore(s);
+  EXPECT_TRUE(s.at_end());
+}
+
+TEST(Tracer, SaveRestoreRoundTripsAndResavesIdentically) {
   Tracer t;
   t.span_begin(at_us(-5), TraceCategory::kExp, "run", 42);  // negative times ok
   t.instant(at_us(100), TraceCategory::kAlarm, "batch-create", 7);
   t.instant(at_us(200), TraceCategory::kAlarm, "batch-create", 8);
-  t.span_end(at_us(300), TraceCategory::kExp, "run", 42);
+  const std::string bytes = saved(t);
 
-  const DecodedTrace d = decode_trace(t.binary());
   // Labels dedup by content in first-appearance order.
-  ASSERT_EQ(d.labels.size(), 2u);
-  EXPECT_EQ(d.labels[0], "run");
-  EXPECT_EQ(d.labels[1], "batch-create");
-  ASSERT_EQ(d.events.size(), 4u);
-  EXPECT_EQ(d.events[0].t_us, -5);
-  EXPECT_EQ(d.events[0].arg, 42);
-  EXPECT_EQ(d.events[0].kind, TraceEventKind::kSpanBegin);
-  EXPECT_EQ(d.events[0].category, TraceCategory::kExp);
-  EXPECT_EQ(d.label_of(d.events[1]), "batch-create");
-  EXPECT_EQ(d.events[3].kind, TraceEventKind::kSpanEnd);
-  EXPECT_EQ(d.dropped, 0u);
+  const snapshot::Reader reader(bytes);
+  snapshot::SectionReader s = reader.section(Tracer::kSection, Tracer::kFileVersion);
+  ASSERT_EQ(s.u64(), 2u);
+  EXPECT_EQ(s.str(), "run");
+  EXPECT_EQ(s.str(), "batch-create");
+  EXPECT_EQ(s.i64(), 1);  // open spans
+  EXPECT_EQ(s.u64(), 3u);
+
+  Tracer r;
+  r.instant(at_us(1), TraceCategory::kSim, "stale", 0);  // replaced wholesale
+  restore_into(r, bytes);
+  ASSERT_EQ(r.size(), 3u);
+  EXPECT_EQ(r.open_spans(), 1);
+  for (std::size_t i = 0; i < 3; ++i) {
+    const TraceEvent& a = t.snapshot()[i];
+    const TraceEvent& b = r.snapshot()[i];
+    EXPECT_EQ(a.t_us, b.t_us);
+    EXPECT_STREQ(a.label, b.label);
+    EXPECT_EQ(a.arg, b.arg);
+    EXPECT_EQ(a.kind, b.kind);
+    EXPECT_EQ(a.category, b.category);
+  }
+  EXPECT_EQ(saved(r), bytes);
+  // The restored tracer keeps recording, span balance included.
+  r.span_end(at_us(300), TraceCategory::kExp, "run", 42);
+  t.span_end(at_us(300), TraceCategory::kExp, "run", 42);
+  EXPECT_EQ(saved(r), saved(t));
 }
 
 TEST(Tracer, BinaryIsIdenticalForIdenticalEventSequences) {
   // Labels with equal content but distinct storage must serialize the same:
-  // the export dedups by content, never by pointer.
+  // save() dedups by content, never by pointer.
   const std::string heap_label = "fire";
   Tracer a, b;
   a.instant(at_us(1), TraceCategory::kSim, "fire", 0);
   b.instant(at_us(1), TraceCategory::kSim, heap_label.c_str(), 0);
-  EXPECT_EQ(a.binary(), b.binary());
+  EXPECT_EQ(saved(a), saved(b));
 }
 
-TEST(Tracer, DecodeRejectsMalformedInput) {
+// A hand-built tracer section, so each restore() check can be hit alone.
+struct RawEvent {
+  std::uint32_t label = 0;
+  std::uint8_t kind = 0;
+  std::uint8_t category = 0;
+};
+
+std::string raw_section(std::int64_t open_spans, std::uint64_t event_count,
+                        const std::vector<RawEvent>& events) {
+  snapshot::Writer w;
+  w.begin_section(Tracer::kSection, Tracer::kFileVersion);
+  w.u64(1);
+  w.str("tick");
+  w.i64(open_spans);
+  w.u64(event_count);
+  for (const RawEvent& e : events) {
+    w.i64(10);
+    w.u32(e.label);
+    w.u8(e.kind);
+    w.u8(e.category);
+    w.i64(0);
+  }
+  w.end_section();
+  return w.finish();
+}
+
+// The std::logic_error message restore() raises ("" when it accepts).
+std::string rejection(const std::string& bytes) {
   Tracer t;
-  t.instant(at_us(1), TraceCategory::kSim, "tick", 1);
-  const std::string good = t.binary();
+  try {
+    restore_into(t, bytes);
+  } catch (const std::logic_error& e) {
+    return e.what();
+  }
+  return "";
+}
 
-  EXPECT_THROW(decode_trace(""), std::runtime_error);
-  EXPECT_THROW(decode_trace("NOTATRACE"), std::runtime_error);
-  EXPECT_THROW(decode_trace(good.substr(0, good.size() - 1)), std::runtime_error);
-  EXPECT_THROW(decode_trace(good + "x"), std::runtime_error);
+TEST(Tracer, RestoreRejectsLabelIndexOutOfRange) {
+  EXPECT_EQ(rejection(raw_section(0, 1, {RawEvent{0, 0, 0}})), "");
+  EXPECT_NE(rejection(raw_section(0, 1, {RawEvent{1, 0, 0}})).find("label index"),
+            std::string::npos);
+}
 
-  // Corrupt the kind byte of the only record (offset: trailing 8 arg bytes
-  // + 1 category byte + 1 kind byte from the end).
-  std::string bad_kind = good;
-  bad_kind[bad_kind.size() - 10] = 9;
-  EXPECT_THROW(decode_trace(bad_kind), std::runtime_error);
-  std::string bad_cat = good;
-  bad_cat[bad_cat.size() - 9] = 9;
-  EXPECT_THROW(decode_trace(bad_cat), std::runtime_error);
+TEST(Tracer, RestoreRejectsBadEventKind) {
+  EXPECT_EQ(rejection(raw_section(0, 1, {RawEvent{0, 3, 0}})), "");  // kCounter
+  EXPECT_NE(rejection(raw_section(0, 1, {RawEvent{0, 4, 0}})).find("bad event kind"),
+            std::string::npos);
+}
+
+TEST(Tracer, RestoreRejectsBadEventCategory) {
+  EXPECT_EQ(rejection(raw_section(0, 1, {RawEvent{0, 0, 4}})), "");  // kExp
+  EXPECT_NE(
+      rejection(raw_section(0, 1, {RawEvent{0, 0, 5}})).find("bad event category"),
+      std::string::npos);
+}
+
+TEST(Tracer, RestoreRejectsNegativeOpenSpanCount) {
+  EXPECT_NE(rejection(raw_section(-1, 0, {})).find("negative open span"),
+            std::string::npos);
+}
+
+TEST(Tracer, RestoreRejectsEventCountOverrunningPayload) {
+  EXPECT_NE(rejection(raw_section(0, 2, {RawEvent{}})).find("overruns payload"),
+            std::string::npos);
 }
 
 TEST(Tracer, DiffReportsEqualTraces) {
@@ -198,7 +270,7 @@ TEST(Tracer, DiffReportsEqualTraces) {
     t->instant(at_us(1), TraceCategory::kSim, "tick", 1);
     t->instant(at_us(2), TraceCategory::kSim, "tick", 2);
   }
-  const TraceDiff d = diff_traces(decode_trace(a.binary()), decode_trace(b.binary()));
+  const TraceDiff d = diff_traces(a, b);
   EXPECT_TRUE(d.equal);
   EXPECT_FALSE(d.first_divergence.has_value());
   EXPECT_NE(d.summary.find("identical"), std::string::npos);
@@ -212,7 +284,7 @@ TEST(Tracer, DiffPinpointsFirstDivergentEvent) {
   b.instant(at_us(1), TraceCategory::kSim, "tick", 1);
   b.instant(at_us(2), TraceCategory::kSim, "tick", 99);  // diverges here
   b.instant(at_us(3), TraceCategory::kSim, "tick", 3);
-  const TraceDiff d = diff_traces(decode_trace(a.binary()), decode_trace(b.binary()));
+  const TraceDiff d = diff_traces(a, b);
   EXPECT_FALSE(d.equal);
   ASSERT_TRUE(d.first_divergence.has_value());
   EXPECT_EQ(*d.first_divergence, 1u);
@@ -225,37 +297,31 @@ TEST(Tracer, DiffReportsLengthMismatch) {
   a.instant(at_us(1), TraceCategory::kSim, "tick", 1);
   b.instant(at_us(1), TraceCategory::kSim, "tick", 1);
   b.instant(at_us(2), TraceCategory::kSim, "tick", 2);
-  const TraceDiff d = diff_traces(decode_trace(a.binary()), decode_trace(b.binary()));
+  const TraceDiff d = diff_traces(a, b);
   EXPECT_FALSE(d.equal);
   ASSERT_TRUE(d.first_divergence.has_value());
   EXPECT_EQ(*d.first_divergence, 1u);
   EXPECT_NE(d.summary.find("b has 1 extra"), std::string::npos);
 }
 
-TEST(Tracer, DiffReportsDropCountMismatch) {
-  Tracer a, b(1);  // b is a size-1 ring: second event overwrites the first
-  a.instant(at_us(2), TraceCategory::kSim, "tick", 2);
-  b.instant(at_us(1), TraceCategory::kSim, "tick", 1);
-  b.instant(at_us(2), TraceCategory::kSim, "tick", 2);
-  const TraceDiff d = diff_traces(decode_trace(a.binary()), decode_trace(b.binary()));
-  EXPECT_FALSE(d.equal);
-  EXPECT_NE(d.summary.find("drop counts differ"), std::string::npos);
-}
-
 TEST(Tracer, SaveAndLoadBinaryFile) {
   Tracer t;
   t.instant(at_us(1), TraceCategory::kSim, "tick", 1);
   const std::string path = ::testing::TempDir() + "/simty_trace_test.bin";
-  t.save_binary(path);
-  const DecodedTrace d = load_trace(path);
-  ASSERT_EQ(d.events.size(), 1u);
-  EXPECT_EQ(d.label_of(d.events[0]), "tick");
+  t.save_file(path);
+  const std::string bytes = snapshot::read_file(path);
+  EXPECT_EQ(bytes, saved(t));
+  const snapshot::Reader reader(bytes);
+  ASSERT_EQ(reader.section_count(), 1u);
+  Tracer loaded;
+  restore_into(loaded, bytes);
+  EXPECT_TRUE(diff_traces(t, loaded).equal);
   std::remove(path.c_str());
-  EXPECT_THROW(load_trace("/nonexistent/simty.trace"), std::runtime_error);
-  EXPECT_THROW(t.save_binary("/nonexistent/simty.trace"), std::runtime_error);
+  EXPECT_THROW(t.save_file("/nonexistent/simty.trace"), std::runtime_error);
 
   const std::string json_path = ::testing::TempDir() + "/simty_trace_test.json";
   t.save_chrome_json(json_path);
+  EXPECT_EQ(snapshot::read_file(json_path), t.chrome_json());
   std::remove(json_path.c_str());
 }
 

@@ -34,9 +34,9 @@ struct Finding {
 struct Options {
   /// Code that must be a pure function of the seed: the discrete-event
   /// core, the alarm/policy layer, the experiment runner, the run tracer
-  /// (a nondeterministic tracer would poison the trace-diff gate), the
-  /// fleet sampler/aggregator (whose bit-identical serial-vs-parallel
-  /// contract is gated in CI), and the model layers they simulate through —
+  /// (a nondeterministic tracer would poison the snapshot_diff gate on
+  /// `--trace` files), the fleet sampler/aggregator (whose bit-identical
+  /// serial-vs-parallel contract is gated in CI), and the model layers they simulate through —
   /// net/hw/power/usage/metrics all execute inside the event loop, so a
   /// wall-clock read or unseeded draw there breaks the same contract.
   /// snapshot (checkpoint bytes must not depend on when they were written)

@@ -95,7 +95,7 @@ int run_fleet_mode(const cli::RunPlan& plan, trace::Tracer& tracer) {
     std::printf("fleet csv written to %s\n", plan.fleet_csv_path->c_str());
   }
   if (plan.trace_path) {
-    tracer.save_binary(*plan.trace_path);
+    tracer.save_file(*plan.trace_path);
     std::printf("run trace (%zu events) written to %s\n", tracer.size(),
                 plan.trace_path->c_str());
   }
@@ -230,7 +230,7 @@ int main(int argc, char** argv) {
                 plan.delivery_log_path->c_str());
   }
   if (plan.trace_path) {
-    tracer.save_binary(*plan.trace_path);
+    tracer.save_file(*plan.trace_path);
     std::printf("run trace (%zu events) written to %s\n", tracer.size(),
                 plan.trace_path->c_str());
   }
