@@ -7,6 +7,10 @@
 // for debugging experiment harnesses. Output goes to an injectable sink so
 // tests can capture it.
 //
+// The macros are lazy: a message is evaluated only at an enabled level, so a
+// SIMTY_DEBUG(str_format(...)) on a hot path costs one relaxed atomic load
+// while the level is above kDebug (the default).
+//
 // Each Simulator is single-threaded, but the parallel experiment runner
 // executes many simulators at once and they all share this singleton — so
 // the level is atomic and the sink is called under a mutex (which also
@@ -35,12 +39,19 @@ class Logger {
   void set_level(LogLevel level) { level_.store(level, std::memory_order_relaxed); }
   LogLevel level() const { return level_.load(std::memory_order_relaxed); }
 
+  /// True if a message at `level` would reach the sink.
+  bool enabled(LogLevel level) const {
+    const LogLevel threshold = this->level();
+    return level >= threshold && threshold != LogLevel::kOff;
+  }
+
   /// Replaces the output sink (default writes to stderr). Pass nullptr to
   /// restore the default sink. The sink itself is invoked under the logger
   /// mutex, so it need not be reentrant — but a sink installed while
   /// parallel runs are in flight will observe their interleaved messages.
   void set_sink(Sink sink);
 
+  /// Sends `msg` to the sink if `level` is enabled.
   void log(LogLevel level, const std::string& msg);
 
  private:
@@ -54,7 +65,13 @@ const char* to_string(LogLevel level);
 
 }  // namespace simty
 
-#define SIMTY_LOG(level, msg) ::simty::Logger::instance().log((level), (msg))
+// One statement; `msg` is evaluated only when `level` is enabled.
+#define SIMTY_LOG(level, msg)                                   \
+  do {                                                          \
+    if (::simty::Logger::instance().enabled(level)) {           \
+      ::simty::Logger::instance().log((level), (msg));          \
+    }                                                           \
+  } while (0)
 #define SIMTY_DEBUG(msg) SIMTY_LOG(::simty::LogLevel::kDebug, (msg))
 #define SIMTY_INFO(msg) SIMTY_LOG(::simty::LogLevel::kInfo, (msg))
 #define SIMTY_WARN(msg) SIMTY_LOG(::simty::LogLevel::kWarn, (msg))

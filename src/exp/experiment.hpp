@@ -1,9 +1,9 @@
 #pragma once
 // Experiment harness: assembles the full stack (simulator, device, RTC,
-// wakelocks, power monitor, energy accountant, alarm manager, workload,
-// system alarms), runs a connected-standby session, and collects every
-// metric the paper reports. Repetitions over seeds are averaged, matching
-// the paper's "three times, reported the average" protocol.
+// wakelocks, energy accountant, alarm manager, workload, system alarms),
+// runs a connected-standby session, and collects every metric the paper
+// reports. Repetitions over seeds are averaged, matching the paper's "three
+// times, reported the average" protocol.
 
 #include <cstdint>
 #include <memory>
@@ -171,8 +171,9 @@ struct RunResult {
   double wur_triggers = 0.0;
 };
 
-/// Runs one seeded experiment.
-RunResult run_experiment(const ExperimentConfig& config);
+/// Runs one seeded experiment. Takes the config by value so a caller done
+/// with it can move it in (a fleet device's catalog is then never copied).
+RunResult run_experiment(ExperimentConfig config);
 
 /// Runs `repetitions` experiments with seeds seed, seed+1, ... and returns
 /// the component-wise mean. `jobs > 1` fans the seeds out over a thread

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <future>
 #include <thread>
+#include <utility>
 
 #include "common/arena.hpp"
 #include "common/thread_pool.hpp"
@@ -21,7 +22,7 @@ RunResult run_on_arena(ExperimentConfig config, common::Arena& arena) {
     arena.reset();
     config.arena_opts.arena = &arena;
   }
-  return run_experiment(config);
+  return run_experiment(std::move(config));
 }
 
 }  // namespace

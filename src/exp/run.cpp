@@ -54,9 +54,8 @@ int begin_run_span(std::uint64_t seed) {
 }
 
 int wire_listeners(hw::PowerBus& bus, power::EnergyAccountant& accountant,
-                   power::PowerMonitor& monitor, const ExperimentConfig& config) {
+                   const ExperimentConfig& config) {
   bus.add_listener(&accountant);
-  bus.add_listener(&monitor);
   if (config.extra_power_listener != nullptr) {
     bus.add_listener(config.extra_power_listener);
   }
@@ -73,12 +72,12 @@ constexpr std::uint32_t kSectionVersion = 5;
 
 }  // namespace
 
-Run::Run(const ExperimentConfig& config)
-    : config_(config),
+Run::Run(ExperimentConfig config)
+    : config_(std::move(config)),
       trace_scope_(config_.tracer),
       run_span_(begin_run_span(config_.seed)),
       sim_(config_.arena_opts.arena),
-      listeners_wired_(wire_listeners(bus_, accountant_, monitor_, config_)),
+      listeners_wired_(wire_listeners(bus_, accountant_, config_)),
       device_(sim_, config_.power_model, bus_),
       rtc_(sim_, device_),
       wakelocks_(sim_, config_.power_model, bus_),
@@ -341,7 +340,6 @@ RunResult Run::finish() {
   if (cellular_) cellular_->finalize(horizon_);
   if (wur_) wur_->finalize(horizon_);
   accountant_.finalize(horizon_);
-  monitor_.finalize(horizon_);
   SIMTY_TRACE_SPAN_END(horizon_, trace::TraceCategory::kExp, "run",
                        static_cast<std::int64_t>(config_.seed));
 
@@ -387,8 +385,8 @@ RunResult Run::finish() {
   return r;
 }
 
-RunResult run_experiment(const ExperimentConfig& config) {
-  Run run(config);
+RunResult run_experiment(ExperimentConfig config) {
+  Run run(std::move(config));
   return run.finish();
 }
 

@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <future>
 #include <stdexcept>
+#include <utility>
 
 #include "common/arena.hpp"
 #include "common/check.hpp"
@@ -14,13 +15,13 @@
 namespace simty::fleet {
 
 exp::ExperimentConfig device_config(const CohortSpec& spec,
-                                    const DeviceSample& sample,
+                                    DeviceSample sample,
                                     exp::PolicyKind policy,
                                     const alarm::SimilarityConfig& similarity) {
   exp::ExperimentConfig c;
   c.policy = policy;
   c.similarity = similarity;
-  c.custom_profiles = sample.catalog;
+  c.custom_profiles = std::move(sample.catalog);
   c.beta = sample.beta;
   c.duration = spec.standby;
   c.seed = sample.run_seed;
@@ -107,12 +108,11 @@ CohortAggregate run_shard(const CohortSpec& spec, const FleetConfig& config,
       throw std::runtime_error("fleet: injected fault in shard " +
                                std::to_string(shard.index));
     }
-    const DeviceSample sample = sample_device(spec, config.seed, d);
     arena.reset();
-    exp::ExperimentConfig device_cfg =
-        device_config(spec, sample, config.policy, config.similarity);
+    exp::ExperimentConfig device_cfg = device_config(
+        spec, sample_device(spec, config.seed, d), config.policy, config.similarity);
     device_cfg.arena_opts.arena = &arena;
-    agg.add(device_metrics(exp::run_experiment(device_cfg)));
+    agg.add(device_metrics(exp::run_experiment(std::move(device_cfg))));
     ++processed;
     if (checkpointing && config.checkpoint_every > 0 &&
         processed % config.checkpoint_every == 0) {

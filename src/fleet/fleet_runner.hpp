@@ -85,9 +85,10 @@ struct FleetResult {
 };
 
 /// Experiment config for one sampled device (exposed so tests can recompute
-/// fleet aggregates device-by-device through the public API).
+/// fleet aggregates device-by-device through the public API). The sample's
+/// catalog moves into the config; pass an rvalue to avoid copying it.
 exp::ExperimentConfig device_config(const CohortSpec& spec,
-                                    const DeviceSample& sample,
+                                    DeviceSample sample,
                                     exp::PolicyKind policy,
                                     const alarm::SimilarityConfig& similarity);
 

@@ -1,8 +1,6 @@
 #include "hw/device.hpp"
 
 #include "common/check.hpp"
-#include "common/logging.hpp"
-#include "common/strings.hpp"
 #include "snapshot/snapshot.hpp"
 #include "trace/tracer.hpp"
 
@@ -50,7 +48,7 @@ void Device::request_awake(WakeReason reason, std::function<void()> on_ready) {
       current_wake_reason_ = reason;
       enter_state(DeviceState::kWaking);
       bus_.publish_impulse(sim_.now(), model_.wake_transition,
-                           ImpulseKind::kWakeTransition, to_string(reason));
+                           ImpulseKind::kWakeTransition, std::nullopt);
       wake_event_ = sim_.schedule_at(
           sim_.now() + model_.wake_latency, [this] { complete_wake(); },
           sim::EventPriority::kHardware, "device-wake-complete");
@@ -68,9 +66,11 @@ void Device::complete_wake() {
 
   // Run the requesters queued during the transition, then the wake
   // listeners (e.g. the alarm manager flushing non-wakeup alarms).
-  auto pending = std::move(pending_ready_);
-  pending_ready_.clear();
-  for (auto& [reason, cb] : pending) cb();
+  // A callback that calls request_awake() finds the device awake and runs
+  // inline, never touching pending_ready_, so the swap is re-entry safe.
+  ready_running_.swap(pending_ready_);
+  for (auto& [reason, cb] : ready_running_) cb();
+  ready_running_.clear();
   for (auto& listener : wake_listeners_) listener(current_wake_reason_);
 
   if (cpu_locks_ == 0) arm_sleep_timer();
@@ -155,8 +155,6 @@ void Device::enter_state(DeviceState next) {
   SIMTY_TRACE_INSTANT(now, trace::TraceCategory::kHw, "device-state",
                       static_cast<std::int64_t>(state_));
   bus_.publish_device_state(now, state_, base_level_for(model_, state_));
-  SIMTY_DEBUG(str_format("device -> %s at %.3fs", hw::to_string(state_),
-                         now.seconds_f()));
 }
 
 void Device::arm_sleep_timer() {

@@ -104,8 +104,13 @@ class Device {
   TimePoint state_since_ = TimePoint::origin();
   int cpu_locks_ = 0;
 
-  // Callbacks queued while a wake transition is in flight.
-  std::vector<std::pair<WakeReason, std::function<void()>>> pending_ready_;
+  // Callbacks queued while a wake transition is in flight. complete_wake()
+  // swaps them into ready_running_ and runs them from there, so both
+  // vectors keep their capacity and a warm wake cycle never allocates.
+  // Both are empty at every quiescent instant.
+  using ReadyQueue = std::vector<std::pair<WakeReason, std::function<void()>>>;
+  ReadyQueue pending_ready_;
+  ReadyQueue ready_running_;
   std::optional<sim::EventId> wake_event_;
   std::optional<sim::EventId> sleep_event_;
 

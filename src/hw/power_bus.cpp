@@ -34,8 +34,8 @@ void PowerBus::publish_component_power(TimePoint t, Component c, bool on, Power 
 }
 
 void PowerBus::publish_impulse(TimePoint t, Energy e, ImpulseKind kind,
-                               std::string_view tag) {
-  for (PowerListener* l : listeners_) l->on_impulse(t, e, kind, tag);
+                               std::optional<Component> component) {
+  for (PowerListener* l : listeners_) l->on_impulse(t, e, kind, component);
 }
 
 }  // namespace simty::hw

@@ -5,6 +5,7 @@
 // and the energy accountant (src/power) subscribe. This mirrors how the
 // paper's Monsoon monitor sits across the phone's battery rails.
 
+#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -41,7 +42,18 @@ class PowerListener {
     (void)t; (void)c; (void)on; (void)level;
   }
 
-  /// One-off energy cost (wake transition, component activation).
+  /// One-off energy cost (wake transition, component activation), with the
+  /// component it is attributed to; nullopt for device wake transitions and
+  /// RRC promotions. The default forwards to the name-tagged overload below.
+  virtual void on_impulse(TimePoint t, Energy e, ImpulseKind kind,
+                          std::optional<Component> component) {
+    on_impulse(t, e, kind,
+               component ? std::string_view(to_string(*component)) : std::string_view());
+  }
+
+  /// Name-tagged form of on_impulse: the component's name, empty when
+  /// unattributed. Kept for listeners that still override it (perfbench's
+  /// publish counter); new listeners override the typed form.
   virtual void on_impulse(TimePoint t, Energy e, ImpulseKind kind,
                           std::string_view tag) {
     (void)t; (void)e; (void)kind; (void)tag;
@@ -57,7 +69,8 @@ class PowerBus {
 
   void publish_device_state(TimePoint t, DeviceState state, Power base_level);
   void publish_component_power(TimePoint t, Component c, bool on, Power level);
-  void publish_impulse(TimePoint t, Energy e, ImpulseKind kind, std::string_view tag);
+  void publish_impulse(TimePoint t, Energy e, ImpulseKind kind,
+                       std::optional<Component> component);
 
  private:
   std::vector<PowerListener*> listeners_;

@@ -37,8 +37,7 @@ WakelockId WakelockManager::acquire(Component c, std::string holder) {
     } else {
       // Cold start: pay activation, count a cycle.
       ++usage_[idx].cycles;
-      bus_.publish_impulse(now, p.activation, ImpulseKind::kComponentActivation,
-                           to_string(c));
+      bus_.publish_impulse(now, p.activation, ImpulseKind::kComponentActivation, c);
       bus_.publish_component_power(now, c, true, p.active);
       SIMTY_TRACE_INSTANT(now, trace::TraceCategory::kHw, "component-cold-start",
                           static_cast<std::int64_t>(idx));

@@ -28,10 +28,10 @@ void WakeupReceiver::stop_listening() {
 Duration WakeupReceiver::trigger() {
   SIMTY_CHECK_MSG(listening_, "WakeupReceiver::trigger while not listening");
   ++triggers_;
-  // Tagged with the component name so the accountant attributes the decode
-  // energy to kWur alongside the listen rail.
+  // Attributed to kWur so the accountant books the decode energy alongside
+  // the listen rail.
   bus_.publish_impulse(sim_.now(), config_.wake_trigger,
-                       ImpulseKind::kComponentActivation, to_string(Component::kWur));
+                       ImpulseKind::kComponentActivation, Component::kWur);
   return config_.wake_latency;
 }
 

@@ -32,24 +32,15 @@ void EnergyAccountant::on_component_power(TimePoint t, hw::Component c, bool on,
 }
 
 void EnergyAccountant::on_impulse(TimePoint, Energy e, hw::ImpulseKind kind,
-                                  std::string_view tag) {
+                                  std::optional<hw::Component> component) {
   switch (kind) {
     case hw::ImpulseKind::kWakeTransition:
       breakdown_.wake_transitions += e;
       break;
-    case hw::ImpulseKind::kComponentActivation: {
+    case hw::ImpulseKind::kComponentActivation:
       breakdown_.component_activation += e;
-      // Attribute to the component by its tag (the bus publishes the
-      // component name).
-      for (int i = 0; i < hw::kComponentCount; ++i) {
-        const auto c = static_cast<hw::Component>(i);
-        if (tag == hw::to_string(c)) {
-          breakdown_.per_component[static_cast<std::size_t>(c)] += e;
-          break;
-        }
-      }
+      if (component) breakdown_.per_component[static_cast<std::size_t>(*component)] += e;
       break;
-    }
   }
 }
 

@@ -4,6 +4,7 @@
 // the awake energy it can, plus per-component and per-impulse breakdowns.
 
 #include <array>
+#include <optional>
 
 #include "common/time.hpp"
 #include "common/units.hpp"
@@ -44,7 +45,7 @@ class EnergyAccountant : public hw::PowerListener {
   void on_device_state(TimePoint t, hw::DeviceState state, Power base_level) override;
   void on_component_power(TimePoint t, hw::Component c, bool on, Power level) override;
   void on_impulse(TimePoint t, Energy e, hw::ImpulseKind kind,
-                  std::string_view tag) override;
+                  std::optional<hw::Component> component) override;
 
   /// Flushes open integrations up to `now`; call once at end of run before
   /// reading the breakdown.

@@ -17,7 +17,8 @@ void PowerMonitor::on_component_power(TimePoint t, hw::Component c, bool on,
   record_level(t);
 }
 
-void PowerMonitor::on_impulse(TimePoint t, Energy e, hw::ImpulseKind, std::string_view) {
+void PowerMonitor::on_impulse(TimePoint t, Energy e, hw::ImpulseKind,
+                              std::optional<hw::Component>) {
   impulses_.push_back({t, e});
 }
 

@@ -8,6 +8,7 @@
 // monitor would have reported.
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -32,7 +33,7 @@ class PowerMonitor : public hw::PowerListener {
   void on_device_state(TimePoint t, hw::DeviceState state, Power base_level) override;
   void on_component_power(TimePoint t, hw::Component c, bool on, Power level) override;
   void on_impulse(TimePoint t, Energy e, hw::ImpulseKind kind,
-                  std::string_view tag) override;
+                  std::optional<hw::Component> component) override;
 
   /// Closes the waveform at `now`; call once at end of run.
   void finalize(TimePoint now);

@@ -20,7 +20,8 @@ class RecordingListener : public PowerListener {
   void on_device_state(TimePoint t, DeviceState state, Power) override {
     states.push_back({t, state});
   }
-  void on_impulse(TimePoint, Energy e, ImpulseKind kind, std::string_view) override {
+  void on_impulse(TimePoint, Energy e, ImpulseKind kind,
+                  std::optional<Component>) override {
     if (kind == ImpulseKind::kWakeTransition) wake_impulses += e.mj();
   }
   std::vector<StateRecord> states;

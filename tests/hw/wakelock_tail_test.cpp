@@ -14,7 +14,8 @@ class TailProbe : public PowerListener {
   void on_component_power(TimePoint t, Component, bool on, Power level) override {
     events.push_back({t, on, level});
   }
-  void on_impulse(TimePoint, Energy e, ImpulseKind kind, std::string_view) override {
+  void on_impulse(TimePoint, Energy e, ImpulseKind kind,
+                  std::optional<Component>) override {
     if (kind == ImpulseKind::kComponentActivation) activations += e.mj();
   }
   struct Event {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
 #include <vector>
 
 namespace simty::hw {
@@ -12,7 +14,8 @@ class PowerProbe : public PowerListener {
   void on_component_power(TimePoint t, Component c, bool on, Power level) override {
     events.push_back({t, c, on, level});
   }
-  void on_impulse(TimePoint, Energy e, ImpulseKind kind, std::string_view) override {
+  void on_impulse(TimePoint, Energy e, ImpulseKind kind,
+                  std::optional<Component>) override {
     if (kind == ImpulseKind::kComponentActivation) activation_mj += e.mj();
   }
   struct Event {
@@ -53,6 +56,23 @@ TEST_F(WakelockTest, FirstAcquirePowersOnWithActivation) {
                    model_.component(Component::kWifi).activation.mj());
   mgr_->release(id);
   EXPECT_FALSE(mgr_->is_on(Component::kWifi));
+}
+
+// A listener that overrides only the name-tagged on_impulse still sees every
+// impulse, with the component's name or an empty tag when unattributed.
+TEST_F(WakelockTest, NameTaggedListenerSeesComponentNames) {
+  struct TagProbe : PowerListener {
+    void on_impulse(TimePoint, Energy, ImpulseKind, std::string_view tag) override {
+      tags.emplace_back(tag);
+    }
+    std::vector<std::string> tags;
+  } tagged;
+  bus_.add_listener(&tagged);
+  mgr_->release(mgr_->acquire(Component::kWifi, "line"));
+  bus_.publish_impulse(sim_.now(), Energy::millijoules(1),
+                       ImpulseKind::kWakeTransition, std::nullopt);
+  EXPECT_EQ(tagged.tags, (std::vector<std::string>{"wifi", ""}));
+  bus_.remove_listener(&tagged);
 }
 
 TEST_F(WakelockTest, NestedLocksPayActivationOnce) {

@@ -1,5 +1,5 @@
 // Wake-up receiver: listen rail accounting on the PowerBus, trigger
-// impulses tagged for per-component attribution, wakelock accounting of the
+// impulses attributed to kWur, wakelock accounting of the
 // kWur component through the PowerModel entries, and snapshot round trips.
 
 #include "hw/wur.hpp"
@@ -25,11 +25,12 @@ class WurProbe : public PowerListener {
   void on_component_power(TimePoint, Component c, bool on, Power level) override {
     if (c == Component::kWur) levels.push_back(on ? level.mw() : 0.0);
   }
-  void on_impulse(TimePoint, Energy e, ImpulseKind, std::string_view tag) override {
-    impulses.emplace_back(std::string(tag), e.mj());
+  void on_impulse(TimePoint, Energy e, ImpulseKind,
+                  std::optional<Component> component) override {
+    impulses.emplace_back(component, e.mj());
   }
   std::vector<double> levels;
-  std::vector<std::pair<std::string, double>> impulses;
+  std::vector<std::pair<std::optional<Component>, double>> impulses;
 };
 
 class WurTest : public ::testing::Test {
@@ -83,8 +84,8 @@ TEST_F(WurTest, TriggerPaysTaggedImpulseAndReturnsLatency) {
   EXPECT_EQ(wur.triggers(), 2u);
   EXPECT_DOUBLE_EQ(wur.trigger_energy().mj(), 4.0);
   ASSERT_EQ(probe_.impulses.size(), 2u);
-  // Tagged with the component name so the accountant can attribute it.
-  EXPECT_EQ(probe_.impulses[0].first, "wur");
+  // Carries the component so the accountant can attribute it.
+  EXPECT_EQ(probe_.impulses[0].first, Component::kWur);
   EXPECT_DOUBLE_EQ(probe_.impulses[0].second, 2.0);
 }
 
@@ -165,7 +166,7 @@ TEST_F(WurTest, WakelockManagerAccountsKWurCycles) {
   EXPECT_EQ(locks.usage(Component::kWur).cycles, 1u);
   EXPECT_EQ(locks.usage(Component::kWur).on_time, Duration::seconds(2));
   ASSERT_FALSE(probe_.impulses.empty());
-  EXPECT_EQ(probe_.impulses[0].first, "wur");
+  EXPECT_EQ(probe_.impulses[0].first, Component::kWur);
   EXPECT_DOUBLE_EQ(probe_.impulses[0].second, 0.5);
 }
 

@@ -10,11 +10,12 @@ class RailProbe : public hw::PowerListener {
   void on_component_power(TimePoint, hw::Component c, bool on, Power level) override {
     if (c == hw::Component::kCellular) levels.push_back(on ? level.mw() : 0.0);
   }
-  void on_impulse(TimePoint, Energy e, hw::ImpulseKind, std::string_view tag) override {
-    impulses.emplace_back(std::string(tag), e.mj());
+  void on_impulse(TimePoint, Energy e, hw::ImpulseKind,
+                  std::optional<hw::Component> component) override {
+    impulses.emplace_back(component, e.mj());
   }
   std::vector<double> levels;
-  std::vector<std::pair<std::string, double>> impulses;
+  std::vector<std::pair<std::optional<hw::Component>, double>> impulses;
 };
 
 class RrcTest : public ::testing::Test {
@@ -41,8 +42,10 @@ TEST_F(RrcTest, ActivityPromotesToDchAndPaysSignaling) {
   rrc_->data_activity(Duration::seconds(2));
   EXPECT_EQ(rrc_->state(), RrcState::kDch);
   EXPECT_EQ(rrc_->idle_promotions(), 1u);
+  EXPECT_EQ(rrc_->fach_promotions(), 0u);
   ASSERT_EQ(probe_.impulses.size(), 1u);
-  EXPECT_EQ(probe_.impulses[0].first, "rrc-idle-dch");
+  // Promotions are published unattributed (see DESIGN.md).
+  EXPECT_EQ(probe_.impulses[0].first, std::nullopt);
   EXPECT_DOUBLE_EQ(probe_.impulses[0].second, 600.0);
   ASSERT_FALSE(probe_.levels.empty());
   EXPECT_DOUBLE_EQ(probe_.levels.back(), 800.0);
@@ -75,7 +78,9 @@ TEST_F(RrcTest, FachPromotionIsCheaper) {
   rrc_->data_activity(Duration::seconds(1));
   EXPECT_EQ(rrc_->state(), RrcState::kDch);
   EXPECT_EQ(rrc_->fach_promotions(), 1u);
-  EXPECT_EQ(probe_.impulses.back().first, "rrc-fach-dch");
+  EXPECT_EQ(rrc_->idle_promotions(), 1u);
+  ASSERT_EQ(probe_.impulses.size(), 2u);
+  EXPECT_EQ(probe_.impulses.back().first, std::nullopt);
   EXPECT_DOUBLE_EQ(probe_.impulses.back().second, 250.0);
 }
 

@@ -45,15 +45,22 @@ TEST(EnergyAccountant, ImpulsesAreAttributedByKindAndTag) {
   EnergyAccountant acc;
   acc.on_device_state(at(0), hw::DeviceState::kAsleep, Power::zero());
   acc.on_impulse(at(1), Energy::millijoules(38), hw::ImpulseKind::kWakeTransition,
-                 "rtc-alarm");
+                 std::nullopt);
   acc.on_impulse(at(2), Energy::millijoules(952),
-                 hw::ImpulseKind::kComponentActivation, "wps");
+                 hw::ImpulseKind::kComponentActivation, hw::Component::kWps);
+  // An unattributed activation (an RRC promotion) counts toward the
+  // activation total but no component.
+  acc.on_impulse(at(3), Energy::millijoules(600),
+                 hw::ImpulseKind::kComponentActivation, std::nullopt);
   acc.finalize(at(10));
   const auto wps = static_cast<std::size_t>(hw::Component::kWps);
   EXPECT_NEAR(acc.breakdown().wake_transitions.mj(), 38.0, 1e-9);
-  EXPECT_NEAR(acc.breakdown().component_activation.mj(), 952.0, 1e-9);
+  EXPECT_NEAR(acc.breakdown().component_activation.mj(), 1552.0, 1e-9);
   EXPECT_NEAR(acc.breakdown().per_component[wps].mj(), 952.0, 1e-9);
-  EXPECT_NEAR(acc.breakdown().awake_total().mj(), 990.0, 1e-9);
+  Energy attributed = Energy::zero();
+  for (const Energy e : acc.breakdown().per_component) attributed += e;
+  EXPECT_NEAR(attributed.mj(), 952.0, 1e-9);
+  EXPECT_NEAR(acc.breakdown().awake_total().mj(), 1590.0, 1e-9);
 }
 
 TEST(EnergyAccountant, OverlappingComponentsAccumulateIndependently) {

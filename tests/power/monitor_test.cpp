@@ -34,9 +34,10 @@ TEST(PowerMonitor, SumsComponentRailsOntoDeviceRail) {
 TEST(PowerMonitor, ImpulsesAddedExactly) {
   PowerMonitor m;
   m.on_device_state(at(0), hw::DeviceState::kAsleep, Power::milliwatts(25));
-  m.on_impulse(at(3), Energy::millijoules(38), hw::ImpulseKind::kWakeTransition, "x");
+  m.on_impulse(at(3), Energy::millijoules(38), hw::ImpulseKind::kWakeTransition,
+               std::nullopt);
   m.on_impulse(at(7), Energy::millijoules(952),
-               hw::ImpulseKind::kComponentActivation, "wps");
+               hw::ImpulseKind::kComponentActivation, hw::Component::kWps);
   m.finalize(at(10));
   EXPECT_NEAR(m.total_energy().mj(), 250.0 + 990.0, 1e-9);
   EXPECT_EQ(m.impulse_count(), 2u);

@@ -8,9 +8,11 @@
 // allocation at all. The gate runs in its own test binary so the operator
 // new replacement cannot distort other suites.
 //
-// Scope: the gate covers the event core (EventQueue, Simulator::step), not
-// whole experiment runs — run_experiment legitimately allocates for
-// metrics, reports, and policy state outside the per-event path.
+// Scope: the gate covers the event core (EventQueue, Simulator::step) and
+// the device FSM's wake -> awake -> linger -> asleep cycle on a bare power
+// bus (hw::Device), not whole experiment runs — run_experiment
+// legitimately allocates for metrics, reports, and policy state outside
+// the per-event path.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +23,9 @@
 
 #include "common/arena.hpp"
 #include "common/rng.hpp"
+#include "hw/device.hpp"
+#include "hw/power_bus.hpp"
+#include "hw/power_model.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
 
@@ -165,6 +170,29 @@ TEST(AllocGateTest, WarmedSimulatorStepLoopRunsWithZeroAllocations) {
       << "steady-state Simulator::step must not allocate";
   EXPECT_GT(steps, 5'000u);
   EXPECT_EQ(fired, 8u * 2'001u);
+}
+
+TEST(AllocGateTest, WarmedDeviceWakeCycleRunsWithZeroAllocations) {
+  // Every alarm delivery drives this cycle: request_awake from asleep,
+  // the wake-complete event running the queued callback, the idle-linger
+  // timer, and the suspend.
+  Simulator sim;
+  hw::PowerBus bus;
+  hw::Device device(sim, hw::PowerModel::nexus5(), bus);
+  std::uint64_t cycles = 0;
+  const auto cycle = [&] {
+    device.request_awake(hw::WakeReason::kRtcAlarm, [] {});
+    sim.run_all();
+    ++cycles;
+  };
+  for (int i = 0; i < 100; ++i) cycle();
+
+  const std::uint64_t before = alloc_count();
+  for (int i = 0; i < 1'000; ++i) cycle();
+  EXPECT_EQ(alloc_count() - before, 0u)
+      << "a warmed device wake cycle must not allocate";
+  EXPECT_EQ(device.wakeup_count(), cycles);
+  EXPECT_TRUE(device.quiescent());
 }
 
 TEST(AllocGateTest, CountingHookSeesOrdinaryAllocations) {

@@ -6,7 +6,7 @@
 // serve/serve_core.hpp for the cache design and EXPERIMENTS.md for the
 // sweep recipe).
 //
-//   simty_serve --socket /tmp/simty.sock [--snapshots 8] [--verbose]
+//   simty_serve --socket /tmp/simty.sock [--snapshots 8]
 //
 // Runs until a client sends --shutdown. Single-threaded by design: the
 // simulation stack is single-threaded, and one daemon serving a sweep
