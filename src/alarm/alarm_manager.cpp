@@ -47,7 +47,7 @@ void AlarmManager::cancel(AlarmId id) {
   const auto it = registry_.find(id.value);
   SIMTY_CHECK_MSG(it != registry_.end(), "cancel: unknown alarm");
   remove_from_queue(id);
-  registry_.erase(it);
+  unregister(it);
   reprogram_rtc();
   schedule_nonwakeup_check();
 }
@@ -74,8 +74,9 @@ void AlarmManager::rebatch_all() {
   // current policy — Android's rebatchAllAlarms.
   std::vector<Alarm*> alarms;
   for (auto& q : queues_) {
-    for (const auto& batch : q) {
+    for (auto& batch : q) {
       for (Alarm* a : batch->members()) alarms.push_back(a);
+      recycle(std::move(batch));
     }
     q.clear();
   }
@@ -140,7 +141,7 @@ void AlarmManager::insert(Alarm* a) {
   } else {
     // New singleton entry: a stable_sort would place it after every entry
     // with an equal delivery time (it was appended last), i.e. upper_bound.
-    auto batch = std::make_unique<Batch>(a);
+    std::unique_ptr<Batch> batch = make_batch(a);
     const TimePoint t = batch->delivery_time();
     const auto pos = std::upper_bound(
         q.begin(), q.end(), t, [](TimePoint value, const std::unique_ptr<Batch>& b) {
@@ -175,16 +176,56 @@ bool AlarmManager::remove_from_queue(AlarmId id) {
       SIMTY_TRACE_INSTANT(sim_.now(), trace::TraceCategory::kAlarm, "batch-split",
                           static_cast<std::int64_t>(batch->size()));
       std::vector<Alarm*> members = batch->members();
+      recycle(std::move(batch));
       std::sort(members.begin(), members.end(), [](const Alarm* x, const Alarm* y) {
         return x->nominal() < y->nominal();
       });
       for (Alarm* m : members) insert(m);
+    } else {
+      recycle(std::move(batch));
     }
     reprogram_rtc();
     schedule_nonwakeup_check();
     return true;
   }
   return false;
+}
+
+std::unique_ptr<Batch> AlarmManager::make_batch(Alarm* first) {
+  if (spare_batches_.empty()) return std::make_unique<Batch>(first);
+  std::unique_ptr<Batch> batch = std::move(spare_batches_.back());
+  spare_batches_.pop_back();
+  batch->add(first);
+  return batch;
+}
+
+void AlarmManager::recycle(std::unique_ptr<Batch> batch) {
+  batch->clear();
+  spare_batches_.push_back(std::move(batch));
+}
+
+void AlarmManager::acquisition_fired(const Alarm* a) {
+  // Ids are never reused, so a registered id is this very alarm.
+  const auto reg = registry_.find(a->id().value);
+  if (reg != registry_.end()) {
+    --reg->second.pending_acquisitions;
+    return;
+  }
+  const auto it = std::find_if(parked_.begin(), parked_.end(),
+                               [a](const Parked& p) { return p.alarm.get() == a; });
+  SIMTY_CHECK_MSG(it != parked_.end(), "wakelock acquisition for an unknown alarm");
+  if (--it->pending_acquisitions > 0) return;
+  // Swap-and-pop frees the alarm; the order of parked_ is unused.
+  std::swap(*it, parked_.back());
+  parked_.pop_back();
+}
+
+void AlarmManager::unregister(std::map<std::uint64_t, Registered>::iterator it) {
+  if (it->second.pending_acquisitions > 0) {
+    parked_.push_back(
+        Parked{std::move(it->second.alarm), it->second.pending_acquisitions});
+  }
+  registry_.erase(it);
 }
 
 void AlarmManager::reposition(std::vector<std::unique_ptr<Batch>>& q,
@@ -302,9 +343,11 @@ void AlarmManager::deliver_batch(std::unique_ptr<Batch> batch) {
   const hw::PowerModel& pm = device_.power_model();
   Duration session_busy = Duration::zero();
 
-  SessionRecord session;
-  session.start = now;
-  session.caused_wakeup = device_.wakeup_count() != last_seen_wakeups_;
+  // Items are built only for a session observer; nothing else reads them.
+  const bool record_items = !session_observers_.empty();
+  session_.start = now;
+  session_.caused_wakeup = device_.wakeup_count() != last_seen_wakeups_;
+  session_.items.clear();
   last_seen_wakeups_ = device_.wakeup_count();
 
   for (Alarm* a : batch->members()) {
@@ -328,6 +371,7 @@ void AlarmManager::deliver_batch(std::unique_ptr<Batch> batch) {
 
     // Stagger this task's wakelocks on each component's chain.
     Duration task_end = Duration::zero();
+    reg_it->second.pending_acquisitions += task.hardware.size();
     for (const hw::Component c : task.hardware.components()) {
       const auto ci = static_cast<std::size_t>(c);
       const Duration start = chain_offset[ci];
@@ -337,8 +381,9 @@ void AlarmManager::deliver_batch(std::unique_ptr<Batch> batch) {
 
       sim_.schedule_at(
           now + start,
-          [this, c, tag = a->spec().tag, hold = task.hold] {
-            const hw::WakelockId lock = wakelocks_.acquire(c, tag);
+          [this, c, a, hold = task.hold] {
+            const hw::WakelockId lock = wakelocks_.acquire(c, a->spec().tag);
+            acquisition_fired(a);
             // try_release: a WakelockGuardian may have revoked the lock.
             sim_.schedule_after(hold,
                                 [this, lock] { wakelocks_.try_release(lock); },
@@ -351,7 +396,7 @@ void AlarmManager::deliver_batch(std::unique_ptr<Batch> batch) {
     ++stats_.deliveries;
     a->record_delivery(task.hardware, task.hold);
 
-    DeliveryRecord record;
+    DeliveryRecord& record = record_;
     record.id = a->id();
     record.tag = a->spec().tag;
     record.app = a->spec().app;
@@ -366,14 +411,16 @@ void AlarmManager::deliver_batch(std::unique_ptr<Batch> batch) {
     record.hold = task.hold;
     record.batch_size = batch->size();
     for (const DeliveryObserver& obs : observers_) obs(record);
-    session.items.push_back(
-        SessionItem{a->id(), a->spec().app, a->spec().tag, task.hardware, task.hold});
+    if (record_items) {
+      session_.items.push_back(
+          SessionItem{a->id(), a->spec().app, a->spec().tag, task.hardware, task.hold});
+    }
 
     // Reinsertion of repeating alarms (§2.1): static repeating stays on its
     // nominal grid; dynamic repeating is re-anchored at the delivery time.
     switch (a->spec().mode) {
       case RepeatMode::kOneShot:
-        registry_.erase(a->id().value);
+        unregister(reg_it);
         break;
       case RepeatMode::kStatic: {
         TimePoint next = a->nominal() + a->spec().repeat_interval;
@@ -394,8 +441,9 @@ void AlarmManager::deliver_batch(std::unique_ptr<Batch> batch) {
   sim_.schedule_after(cpu_span, [this] { device_.release_cpu_lock(); },
                       sim::EventPriority::kFramework, "session-end");
 
-  session.cpu_session = cpu_span;
-  for (const SessionObserver& obs : session_observers_) obs(session);
+  session_.cpu_session = cpu_span;
+  for (const SessionObserver& obs : session_observers_) obs(session_);
+  recycle(std::move(batch));
 }
 
 std::string AlarmManager::dump() const {
@@ -490,6 +538,8 @@ void AlarmManager::on_device_wake(hw::WakeReason) {
 }
 
 void AlarmManager::save(snapshot::Writer& w) const {
+  SIMTY_CHECK_MSG(parked_.empty(),
+                  "AlarmManager::save: wakelock acquisitions still pending");
   w.u64(next_id_);
   w.u64(last_seen_wakeups_);
   w.u64(stats_.registrations);
@@ -517,6 +567,7 @@ void AlarmManager::restore(snapshot::SectionReader& s,
                   "AlarmManager::restore: handler resolver required");
   registry_.clear();
   for (auto& q : queues_) q.clear();
+  parked_.clear();
   nonwakeup_check_.reset();
 
   next_id_ = s.u64();

@@ -45,7 +45,9 @@ struct TaskSpec {
 using DeliveryHandler = std::function<TaskSpec(const Alarm&, TimePoint delivered_at)>;
 
 /// Everything observers need to compute the paper's metrics for one
-/// delivered alarm.
+/// delivered alarm. The manager refills one record per delivery: a record
+/// passed to an observer is valid only during the callback (copy it to
+/// keep it).
 struct DeliveryRecord {
   AlarmId id;
   std::string tag;
@@ -74,7 +76,9 @@ struct SessionItem {
 };
 
 /// One joint delivery session (one batch executed on the device), as needed
-/// for per-app energy attribution.
+/// for per-app energy attribution. Like DeliveryRecord, the manager reuses
+/// one buffer: a record passed to an observer is valid only during the
+/// callback.
 struct SessionRecord {
   TimePoint start;
   Duration cpu_session = Duration::zero();  // CPU wakelock span
@@ -201,6 +205,13 @@ class AlarmManager {
   struct Registered {
     std::unique_ptr<Alarm> alarm;
     DeliveryHandler handler;
+    std::size_t pending_acquisitions = 0;  // see acquisition_fired
+  };
+
+  /// An unregistered alarm kept alive for its pending acquisitions.
+  struct Parked {
+    std::unique_ptr<Alarm> alarm;
+    std::size_t pending_acquisitions = 0;
   };
 
   std::vector<std::unique_ptr<Batch>>& queue_ref(AlarmKind kind);
@@ -231,6 +242,20 @@ class AlarmManager {
   void deliver_batch(std::unique_ptr<Batch> batch);
   void on_device_wake(hw::WakeReason reason);
 
+  /// A queue entry holding `first`: a recycled one when available.
+  std::unique_ptr<Batch> make_batch(Alarm* first);
+
+  /// Clears an entry that left the queue and keeps it for make_batch.
+  void recycle(std::unique_ptr<Batch> batch);
+
+  /// Staggered wakelock acquisitions read the delivered alarm's tag when
+  /// they fire, which may be after the alarm is unregistered (a delivered
+  /// one-shot, or a cancel). Each registration counts its pending ones;
+  /// unregister parks an alarm that still has some instead of destroying
+  /// it, and acquisition_fired frees a parked alarm after the last one.
+  void acquisition_fired(const Alarm* a);
+  void unregister(std::map<std::uint64_t, Registered>::iterator it);
+
   sim::Simulator& sim_;
   hw::Device& device_;
   hw::Rtc& rtc_;
@@ -241,6 +266,11 @@ class AlarmManager {
   std::vector<std::unique_ptr<Batch>> queues_[2];
   std::vector<DeliveryObserver> observers_;
   std::vector<SessionObserver> session_observers_;
+  // Reused per delivery / session so a warm delivery allocates nothing.
+  DeliveryRecord record_;
+  SessionRecord session_;
+  std::vector<std::unique_ptr<Batch>> spare_batches_;
+  std::vector<Parked> parked_;
   DeliveryGate delivery_gate_;
   std::optional<sim::EventId> nonwakeup_check_;
   Stats stats_;

@@ -53,6 +53,11 @@ TimePoint Batch::delivery_time() const {
   return grace_.start();
 }
 
+void Batch::clear() {
+  members_.clear();
+  refresh();
+}
+
 void Batch::refresh() {
   window_ = TimeInterval::empty();
   grace_ = TimeInterval::empty();

@@ -64,6 +64,11 @@ class Batch {
   /// the aggregates are not invertible).
   void refresh();
 
+  /// Drops every member and resets the attributes to those of a
+  /// default-constructed batch, keeping the member storage: the manager
+  /// recycles emptied entries instead of allocating new ones.
+  void clear();
+
  private:
   std::vector<Alarm*> members_;
   TimeInterval window_ = TimeInterval::empty();

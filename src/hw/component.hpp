@@ -6,12 +6,14 @@
 // in every wakeup and are modelled by the device FSM instead. A component
 // set may therefore be empty (an alarm that only needs the CPU).
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <initializer_list>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace simty::hw {
 
@@ -47,6 +49,48 @@ constexpr std::uint32_t perceptible_mask() {
          (1u << static_cast<std::uint8_t>(Component::kVibrator)) |
          (1u << static_cast<std::uint8_t>(Component::kScreen));
 }
+
+/// Members of a ComponentSet in enum order, walked bit by bit: iterating
+/// never allocates (delivery sessions iterate every task's set).
+class ComponentRange {
+ public:
+  class iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = Component;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const Component*;
+    using reference = Component;
+
+    constexpr iterator() = default;
+    constexpr explicit iterator(std::uint32_t bits) : bits_(bits) {}
+
+    constexpr Component operator*() const {
+      return static_cast<Component>(std::countr_zero(bits_));
+    }
+    constexpr iterator& operator++() {
+      bits_ &= bits_ - 1;  // drop the lowest member
+      return *this;
+    }
+    constexpr iterator operator++(int) {
+      iterator old = *this;
+      ++*this;
+      return old;
+    }
+    constexpr bool operator==(const iterator&) const = default;
+
+   private:
+    std::uint32_t bits_ = 0;
+  };
+
+  constexpr explicit ComponentRange(std::uint32_t bits) : bits_(bits) {}
+
+  constexpr iterator begin() const { return iterator(bits_); }
+  constexpr iterator end() const { return iterator(0); }
+
+ private:
+  std::uint32_t bits_;
+};
 
 /// A set of hardware components, stored as a bitmask.
 class ComponentSet {
@@ -89,7 +133,7 @@ class ComponentSet {
   bool any_perceptible() const { return (bits_ & perceptible_mask()) != 0; }
 
   /// Members in enum order.
-  std::vector<Component> components() const;
+  ComponentRange components() const { return ComponentRange(bits_); }
 
   /// Renders as "{wifi,wps}" or "{}".
   std::string to_string() const;

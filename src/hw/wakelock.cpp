@@ -17,11 +17,17 @@ Duration WakelockManager::effective_tail(Component c) const {
   return tail_override_[idx].value_or(model_.component(c).tail);
 }
 
-WakelockId WakelockManager::acquire(Component c, std::string holder) {
+WakelockId WakelockManager::acquire(Component c, std::string_view holder) {
   const auto idx = static_cast<std::size_t>(c);
   const TimePoint now = sim_.now();
   const WakelockId id{next_id_++};
-  held_.push_back(Held{id, c, std::move(holder), now});
+  std::string text;
+  if (!spare_holders_.empty()) {
+    text = std::move(spare_holders_.back());
+    spare_holders_.pop_back();
+  }
+  text.assign(holder);
+  held_.push_back(Held{id, c, std::move(text), now});
   ++usage_[idx].acquisitions;
   if (counts_[idx]++ == 0) {
     const ComponentPower& p = model_.component(c);
@@ -51,7 +57,7 @@ bool WakelockManager::try_release(WakelockId id) {
   const auto it = std::find_if(held_.begin(), held_.end(),
                                [&](const Held& h) { return h.id == id; });
   if (it == held_.end()) return false;
-  release(id);
+  release_at(it);
   return true;
 }
 
@@ -65,9 +71,11 @@ std::vector<WakelockManager::HeldInfo> WakelockManager::held_locks() const {
 }
 
 void WakelockManager::release(WakelockId id) {
-  const auto it = std::find_if(held_.begin(), held_.end(),
-                               [&](const Held& h) { return h.id == id; });
-  SIMTY_CHECK_MSG(it != held_.end(), "WakelockManager::release: unknown lock");
+  const bool released = try_release(id);
+  SIMTY_CHECK_MSG(released, "WakelockManager::release: unknown lock");
+}
+
+void WakelockManager::release_at(std::vector<Held>::iterator it) {
   const TimePoint now = sim_.now();
   const Component c = it->component;
   const auto idx = static_cast<std::size_t>(c);
@@ -77,6 +85,7 @@ void WakelockManager::release(WakelockId id) {
     anomalies_.push_back(
         WakelockAnomaly{c, it->holder, it->acquired_at, held_for, false});
   }
+  spare_holders_.push_back(std::move(it->holder));
   held_.erase(it);
 
   SIMTY_CHECK(counts_[idx] > 0);

@@ -14,6 +14,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/time.hpp"
@@ -61,9 +62,11 @@ class WakelockManager {
   WakelockManager(const WakelockManager&) = delete;
   WakelockManager& operator=(const WakelockManager&) = delete;
 
-  /// Acquires a lock on `c` for `holder` (app/alarm tag, for diagnostics).
-  /// First lock on an unpowered component powers it and pays activation.
-  WakelockId acquire(Component c, std::string holder);
+  /// Acquires a lock on `c` for `holder` (app/alarm tag, for diagnostics;
+  /// copied into a recycled buffer, so a warm lock cycle allocates
+  /// nothing). First lock on an unpowered component powers it and pays
+  /// activation.
+  WakelockId acquire(Component c, std::string_view holder);
 
   /// Releases a previously acquired lock; the last release powers the
   /// component down. Unknown/double release throws.
@@ -130,8 +133,12 @@ class WakelockManager {
 
   Duration effective_tail(Component c) const;
   void end_tail(std::size_t idx);
+  void release_at(std::vector<Held>::iterator it);
 
   std::vector<Held> held_;
+  // Holder buffers of released locks, reused by acquire() with their
+  // capacity, so steady-state holder text never reaches the allocator.
+  std::vector<std::string> spare_holders_;
   std::array<int, kComponentCount> counts_{};
   std::array<TimePoint, kComponentCount> on_since_{};
   std::array<TimePoint, kComponentCount> tail_since_{};

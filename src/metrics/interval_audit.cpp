@@ -29,13 +29,12 @@ void IntervalAudit::observe(const alarm::DeliveryRecord& record) {
   s.last_perceptible = record.was_perceptible;
   ++s.deliveries;
 
-  const auto last = last_delivery_.find(record.id.value);
-  if (last != last_delivery_.end()) {
-    const Duration gap = record.delivered - last->second;
+  if (s.last_delivery) {
+    const Duration gap = record.delivered - *s.last_delivery;
     s.min_gap = std::min(s.min_gap, gap);
     s.max_gap = std::max(s.max_gap, gap);
   }
-  last_delivery_[record.id.value] = record.delivered;
+  s.last_delivery = record.delivered;
 }
 
 alarm::DeliveryObserver IntervalAudit::observer() {
@@ -77,16 +76,20 @@ void IntervalAudit::save(snapshot::Writer& w) const {
     w.i64(s.min_gap.us());
     w.i64(s.max_gap.us());
   }
-  w.u64(last_delivery_.size());
-  for (const auto& [id, t] : last_delivery_) {
+  std::uint64_t last_count = 0;
+  for (const auto& [id, s] : stats_) {
+    if (s.last_delivery) ++last_count;
+  }
+  w.u64(last_count);
+  for (const auto& [id, s] : stats_) {
+    if (!s.last_delivery) continue;
     w.u64(id);
-    w.i64(t.us());
+    w.i64(s.last_delivery->us());
   }
 }
 
 void IntervalAudit::restore(snapshot::SectionReader& s) {
   stats_.clear();
-  last_delivery_.clear();
   const std::uint64_t stat_count = s.u64();
   // id + min fixed fields per entry: u64(9) + str(9) + u8(2) + i64(9) +
   // 2 bools(4) + u64(9) + 2 i64(18).
@@ -113,8 +116,12 @@ void IntervalAudit::restore(snapshot::SectionReader& s) {
   for (std::uint64_t i = 0; i < last_count; ++i) {
     const std::uint64_t id = s.u64();
     const TimePoint t = TimePoint::from_us(s.i64());
-    const bool inserted = last_delivery_.emplace(id, t).second;
-    SIMTY_CHECK_MSG(inserted, "IntervalAudit::restore: duplicate alarm id");
+    const auto it = stats_.find(id);
+    SIMTY_CHECK_MSG(it != stats_.end(),
+                    "IntervalAudit::restore: last delivery of an alarm without stats");
+    SIMTY_CHECK_MSG(!it->second.last_delivery,
+                    "IntervalAudit::restore: duplicate alarm id");
+    it->second.last_delivery = t;
   }
 }
 

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -28,6 +29,7 @@ struct GapStats {
   std::uint64_t deliveries = 0;
   Duration min_gap = Duration::max();
   Duration max_gap = Duration::zero();
+  std::optional<TimePoint> last_delivery;  // start of the next gap
 
   double min_gap_over_repeat() const;
   double max_gap_over_repeat() const;
@@ -61,13 +63,14 @@ class IntervalAudit {
   /// Worst max-gap/ReIn ratio over imperceptible repeating alarms.
   double worst_gap_ratio() const;
 
-  /// Serializes both per-alarm maps; restore replaces any existing state.
+  /// Serializes the per-alarm stats, then the last delivery times as a
+  /// second list; restore replaces any existing state and rejects a last
+  /// delivery for an alarm with no stats.
   void save(snapshot::Writer& w) const;
   void restore(snapshot::SectionReader& s);
 
  private:
   std::map<std::uint64_t, GapStats> stats_;
-  std::map<std::uint64_t, TimePoint> last_delivery_;
 };
 
 }  // namespace simty::metrics

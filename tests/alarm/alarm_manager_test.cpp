@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "alarm/exact_policy.hpp"
 #include "alarm/native_policy.hpp"
 #include "alarm/simty_policy.hpp"
@@ -218,6 +221,61 @@ TEST_F(AlarmManagerTest, SerializedComponentExtendsOnTime) {
   }
   sim_.run_until(at(400));
   EXPECT_EQ(wakelocks_->usage(Component::kWifi).cycles, 1u);
+  EXPECT_EQ(wakelocks_->usage(Component::kWifi).on_time, Duration::seconds(7));
+}
+
+// Holder text of every Wi-Fi lock held right now.
+std::vector<std::string> wifi_holders(const hw::WakelockManager& wakelocks) {
+  std::vector<std::string> out;
+  for (const auto& h : wakelocks.held_locks()) {
+    if (h.component == Component::kWifi) out.push_back(h.holder);
+  }
+  return out;
+}
+
+TEST_F(AlarmManagerTest, StaggeredAcquisitionOutlivesDeliveredOneShot) {
+  init(std::make_unique<NativePolicy>());
+  // Aligned with "sync", the one-shot's Wi-Fi lock starts 0.4 * 5 = 2 s into
+  // the session, after its Alarm has been unregistered.
+  manager_->register_alarm(
+      AlarmSpec::repeating("sync", AppId{1}, RepeatMode::kStatic,
+                           Duration::seconds(600), 0.75, 0.96),
+      at(100), task(ComponentSet{Component::kWifi}, Duration::seconds(5)));
+  const AlarmId once = manager_->register_alarm(
+      AlarmSpec::one_shot("a.one.shot.tag.longer.than.sso", AppId{2},
+                          Duration::seconds(30)),
+      at(100), task(ComponentSet{Component::kWifi}, Duration::seconds(5)));
+  sim_.run_until(at(101));
+  ASSERT_EQ(deliveries_of(once).size(), 1u);
+  EXPECT_FALSE(manager_->is_registered(once));
+  EXPECT_EQ(wifi_holders(*wakelocks_), std::vector<std::string>{"sync"});
+
+  sim_.run_until(deliveries_of(once)[0].delivered + Duration::seconds(3));
+  EXPECT_EQ(wifi_holders(*wakelocks_),
+            (std::vector<std::string>{"sync", "a.one.shot.tag.longer.than.sso"}));
+  sim_.run_until(at(400));
+  EXPECT_EQ(wakelocks_->usage(Component::kWifi).on_time, Duration::seconds(7));
+  EXPECT_TRUE(manager_->check_invariants().empty());
+}
+
+TEST_F(AlarmManagerTest, StaggeredAcquisitionOutlivesCancel) {
+  init(std::make_unique<NativePolicy>());
+  manager_->register_alarm(
+      AlarmSpec::repeating("first", AppId{1}, RepeatMode::kStatic,
+                           Duration::seconds(600), 0.75, 0.96),
+      at(100), task(ComponentSet{Component::kWifi}, Duration::seconds(5)));
+  const AlarmId second = manager_->register_alarm(
+      AlarmSpec::repeating("second.with.a.tag.longer.than.sso", AppId{2},
+                           RepeatMode::kStatic, Duration::seconds(600), 0.75, 0.96),
+      at(100), task(ComponentSet{Component::kWifi}, Duration::seconds(5)));
+  sim_.run_until(at(101));
+  ASSERT_EQ(deliveries_of(second).size(), 1u);
+  // Cancelled before its staggered acquisition fires.
+  manager_->cancel(second);
+  sim_.run_until(deliveries_of(second)[0].delivered + Duration::seconds(3));
+  EXPECT_EQ(wifi_holders(*wakelocks_),
+            (std::vector<std::string>{"first", "second.with.a.tag.longer.than.sso"}));
+  sim_.run_until(at(400));
   EXPECT_EQ(wakelocks_->usage(Component::kWifi).on_time, Duration::seconds(7));
 }
 

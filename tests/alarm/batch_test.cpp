@@ -139,6 +139,53 @@ TEST(Batch, RefreshPicksUpRescheduledMembers) {
   EXPECT_EQ(batch.delivery_time(), at(500));
 }
 
+// Every attribute a policy or the queue reads from an entry.
+void expect_same_entry(const Batch& got, const Batch& want) {
+  EXPECT_EQ(got.members(), want.members());
+  EXPECT_EQ(got.window_interval(), want.window_interval());
+  EXPECT_EQ(got.grace_interval(), want.grace_interval());
+  EXPECT_EQ(got.hardware(), want.hardware());
+  EXPECT_EQ(got.perceptible(), want.perceptible());
+  EXPECT_EQ(got.expected_hold(), want.expected_hold());
+  if (!want.empty()) {
+    EXPECT_EQ(got.delivery_time(), want.delivery_time());
+  }
+}
+
+TEST(Batch, RecycledBatchMatchesAFreshOne) {
+  // The manager clears delivered entries and refills them: nothing of the
+  // old members may survive into the next entry.
+  auto loud = imperceptible_alarm(
+      1, 0, 300, ComponentSet{Component::kSpeaker, Component::kVibrator});
+  auto busy = imperceptible_alarm(2, 10, 300, ComponentSet{Component::kWifi});
+  busy->record_delivery(ComponentSet{Component::kWifi}, Duration::seconds(26));
+  busy->reschedule(at(10));
+  auto quiet = imperceptible_alarm(3, 400, 600, ComponentSet{Component::kAccelerometer});
+  auto quiet2 = imperceptible_alarm(4, 450, 600, ComponentSet{Component::kWps});
+  ASSERT_TRUE(loud->perceptible());
+  ASSERT_FALSE(quiet->perceptible());
+
+  // Perceptible, long-hold entry -> imperceptible members.
+  Batch recycled(loud.get());
+  recycled.add(busy.get());
+  recycled.clear();
+  expect_same_entry(recycled, Batch{});
+  recycled.add(quiet.get());
+  recycled.add(quiet2.get());
+  Batch fresh(quiet.get());
+  fresh.add(quiet2.get());
+  expect_same_entry(recycled, fresh);
+
+  // Imperceptible entry -> perceptible members.
+  recycled.clear();
+  expect_same_entry(recycled, Batch{});
+  recycled.add(loud.get());
+  recycled.add(busy.get());
+  Batch fresh_loud(loud.get());
+  fresh_loud.add(busy.get());
+  expect_same_entry(recycled, fresh_loud);
+}
+
 TEST(Batch, DeliveryTimeOfEmptyBatchThrows) {
   Batch batch;
   EXPECT_THROW(batch.delivery_time(), std::logic_error);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace simty::hw {
 namespace {
 
@@ -65,10 +67,23 @@ TEST(ComponentSet, PerceptibilityFollowsUserSenses) {
 
 TEST(ComponentSet, ComponentsInEnumOrder) {
   const ComponentSet s{Component::kVibrator, Component::kWifi};
-  const auto cs = s.components();
+  const ComponentRange range = s.components();
+  const std::vector<Component> cs(range.begin(), range.end());
   ASSERT_EQ(cs.size(), 2u);
   EXPECT_EQ(cs[0], Component::kWifi);
   EXPECT_EQ(cs[1], Component::kVibrator);
+}
+
+TEST(ComponentSet, RangeWalksEveryMemberOnce) {
+  for (std::uint32_t bits = 0; bits < (1u << kComponentCount); ++bits) {
+    const ComponentSet s = ComponentSet::from_bits(bits);
+    std::vector<Component> expected;
+    for (int i = 0; i < kComponentCount; ++i) {
+      if (s.contains(static_cast<Component>(i))) expected.push_back(static_cast<Component>(i));
+    }
+    const ComponentRange range = s.components();
+    EXPECT_EQ(std::vector<Component>(range.begin(), range.end()), expected);
+  }
 }
 
 TEST(ComponentSet, AllContainsEveryComponent) {

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "common/strings.hpp"
+#include "snapshot/snapshot.hpp"
 
 namespace simty::metrics {
 namespace {
@@ -115,6 +119,44 @@ TEST(IntervalAudit, FirstDeliveryPerceptibleDoesNotExcludeAlarm) {
   audit.observe(record(1, 100, 100, alarm::RepeatMode::kStatic, true));
   audit.observe(record(1, 290, 100, alarm::RepeatMode::kStatic, false));
   EXPECT_DOUBLE_EQ(audit.worst_gap_ratio(), 1.9);
+}
+
+// One "audit" section holding `write`'s fields, read back as a restore.
+template <typename WriteFields>
+void restore_from(IntervalAudit& audit, WriteFields write) {
+  snapshot::Writer w;
+  w.begin_section("audit", 1);
+  write(w);
+  w.end_section();
+  const snapshot::Reader reader(w.finish());
+  snapshot::SectionReader section = reader.section("audit", 1);
+  audit.restore(section);
+}
+
+TEST(IntervalAudit, SaveRestoreContinuesGaps) {
+  IntervalAudit audit;
+  audit.observe(record(1, 100, 100, alarm::RepeatMode::kStatic));
+  audit.observe(record(1, 190, 100, alarm::RepeatMode::kStatic));
+  audit.observe(record(2, 150, 200, alarm::RepeatMode::kDynamic));
+
+  IntervalAudit back;
+  restore_from(back, [&](snapshot::Writer& w) { audit.save(w); });
+  back.observe(record(1, 320, 100, alarm::RepeatMode::kStatic));
+  EXPECT_EQ(back.stats().at(1).max_gap, Duration::seconds(130));
+  EXPECT_EQ(back.stats().at(1).min_gap, Duration::seconds(90));
+  EXPECT_EQ(back.stats().at(2).last_delivery, at(150));
+}
+
+TEST(IntervalAudit, RestoreRejectsLastDeliveryWithoutStats) {
+  IntervalAudit audit;
+  EXPECT_THROW(restore_from(audit,
+                            [](snapshot::Writer& w) {
+                              w.u64(0);  // no gap stats
+                              w.u64(1);  // one last delivery...
+                              w.u64(7);  // ...for alarm 7
+                              w.i64(at(100).us());
+                            }),
+               std::logic_error);
 }
 
 TEST(IntervalAudit, SingleDeliveryHasNoGapData) {

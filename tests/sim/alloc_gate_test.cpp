@@ -8,11 +8,15 @@
 // allocation at all. The gate runs in its own test binary so the operator
 // new replacement cannot distort other suites.
 //
-// Scope: the gate covers the event core (EventQueue, Simulator::step) and
-// the device FSM's wake -> awake -> linger -> asleep cycle on a bare power
-// bus (hw::Device), not whole experiment runs — run_experiment
-// legitimately allocates for metrics, reports, and policy state outside
-// the per-event path.
+// Scope: the event core (EventQueue, Simulator::step), the device FSM's
+// wake -> awake -> linger -> asleep cycle on a bare power bus (hw::Device),
+// and a whole warmed exp::Run between two quiescent points: alarm batch
+// delivery, the run's delivery observers, staggered wakelocks, power
+// accounting and the reinsertion of repeating alarms into recycled queue
+// entries. Building and finishing a run, registering new alarms, and
+// growth to a new high-water mark (more entries, members, locks or pending
+// events at once than ever before) still allocate; the run gate therefore
+// warms a full simulated day before it measures.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +27,7 @@
 
 #include "common/arena.hpp"
 #include "common/rng.hpp"
+#include "exp/run.hpp"
 #include "hw/device.hpp"
 #include "hw/power_bus.hpp"
 #include "hw/power_model.hpp"
@@ -193,6 +198,33 @@ TEST(AllocGateTest, WarmedDeviceWakeCycleRunsWithZeroAllocations) {
       << "a warmed device wake cycle must not allocate";
   EXPECT_EQ(device.wakeup_count(), cycles);
   EXPECT_TRUE(device.quiescent());
+}
+
+TEST(AllocGateTest, WarmedRunDeliversAlarmsWithZeroAllocations) {
+  // The inner loop of every workload: an RTC wake delivers a batch, the
+  // run's observers see each delivery, tasks take staggered wakelocks, and
+  // repeating alarms are reinserted. System alarms register a fresh
+  // one-shot each time (registration allocates), so they are off here.
+  for (const exp::PolicyKind policy :
+       {exp::PolicyKind::kNative, exp::PolicyKind::kSimty, exp::PolicyKind::kExact,
+        exp::PolicyKind::kSimtyDuration}) {
+    SCOPED_TRACE(exp::to_string(policy));
+    exp::ExperimentConfig config;
+    config.policy = policy;
+    config.workload = exp::WorkloadKind::kHeavy;
+    config.system_alarms = false;
+    config.duration = Duration::hours(48);
+    exp::Run run(std::move(config));
+    run.alarm_manager().set_slow_queue_checks(false);  // the check copies the queue
+    run.advance_to_quiescent(TimePoint::origin() + Duration::hours(24));
+
+    const std::uint64_t delivered = run.alarm_manager().stats().deliveries;
+    const std::uint64_t before = alloc_count();
+    run.advance_to_quiescent(TimePoint::origin() + Duration::hours(36));
+    EXPECT_EQ(alloc_count() - before, 0u)
+        << "a warmed alarm delivery -> reinsertion cycle must not allocate";
+    EXPECT_GT(run.alarm_manager().stats().deliveries - delivered, 1'000u);
+  }
 }
 
 TEST(AllocGateTest, CountingHookSeesOrdinaryAllocations) {
