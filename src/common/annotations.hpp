@@ -2,21 +2,16 @@
 // Thread-safety annotation macros (clang -Wthread-safety).
 //
 // SIMTY_GUARDED_BY(m) marks a variable as protected by mutex `m`;
-// SIMTY_REQUIRES(m) marks a function as callable only with `m` held. Two
-// independent checkers consume them:
-//
-//   1. simty_analyze's structural lock check (tools/simty_analyze) parses
-//      the macros lexically and verifies every use of a guarded variable
-//      sits inside a scope that locks the named mutex (or in a function
-//      annotated SIMTY_REQUIRES on it). That check runs on every build,
-//      with any compiler.
-//   2. clang's -Wthread-safety analysis, when the attributes are real.
-//      std::mutex/std::lock_guard/std::unique_lock only carry capability
-//      attributes under libc++ with -D_LIBCPP_ENABLE_THREAD_SAFETY_ANNOTATIONS
-//      (libstdc++ has none), so the attributes expand only in that
-//      configuration — anywhere else they vanish and the declaration is
-//      unchanged. The CI clang-tidy job compiles the annotated TUs in
-//      exactly that configuration with -Werror=thread-safety.
+// SIMTY_REQUIRES(m) marks a function as callable only with `m` held. One
+// checker consumes them: clang's -Wthread-safety analysis, when the
+// attributes are real. std::mutex/std::lock_guard/std::unique_lock only
+// carry capability attributes under libc++ with
+// -D_LIBCPP_ENABLE_THREAD_SAFETY_ANNOTATIONS (libstdc++ has none), so the
+// attributes expand only in that configuration — anywhere else they vanish
+// and the declaration is unchanged. The CI clang-tidy job compiles every
+// translation unit that uses them in exactly that configuration with
+// -Werror=thread-safety, and checks that an unlocked guarded read
+// (tests/thread_safety/unlocked_read.cpp) fails there.
 //
 // Keep the macro set minimal: annotate state, not choreography. If a new
 // use needs ACQUIRE/RELEASE choreography, grow this header then.

@@ -19,7 +19,7 @@ void advise_huge_pages(std::byte* p, std::size_t bytes) {
   constexpr std::uintptr_t kPage = 4096;
   // The address value never reaches simulation state — it only rounds the
   // madvise range — so this cast cannot leak ASLR into results.
-  const auto addr = reinterpret_cast<std::uintptr_t>(p);  // simty-analyze: allow(taint)
+  const auto addr = reinterpret_cast<std::uintptr_t>(p);  // simty-lint: allow(taint)
   const std::uintptr_t first = (addr + kPage - 1) & ~(kPage - 1);
   const std::uintptr_t last = (addr + bytes) & ~(kPage - 1);
   if (last > first) {

@@ -32,7 +32,7 @@ ParallelRunner::ParallelRunner(int jobs) : jobs_(std::max(jobs, 1)) {}
 int ParallelRunner::default_jobs() {
   // Worker count only changes scheduling, never results: the reduction is
   // submission-ordered, and serial-vs-parallel equality is gated in CI.
-  if (const char* env = std::getenv("SIMTY_JOBS")) {  // simty-analyze: allow(taint)
+  if (const char* env = std::getenv("SIMTY_JOBS")) {  // simty-lint: allow(taint)
     const int v = std::atoi(env);
     if (v > 0) return v;
   }

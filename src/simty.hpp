@@ -3,8 +3,7 @@
 //
 // For selective builds include the per-module headers directly; this
 // header exists for quick experiments and downstream prototypes. Every
-// include is a deliberate re-export, so the unused-include advisory is off:
-// simty-analyze: allow-file(include)
+// include is a deliberate re-export.
 
 // Foundations
 #include "common/check.hpp"       // IWYU pragma: export

@@ -1,10 +1,12 @@
-// Self-tests for simty_lint: every rule must both fire on its fixture and
-// respect the allow-comment escape hatch. Expectations are embedded in the
-// fixtures themselves as `// LINT-EXPECT: <rule>[, <rule>]` markers, so a
-// fixture and its oracle can never drift apart.
+// Self-tests for simty_lint's per-file rules and lexer: every rule must both
+// fire on its fixture and respect the allow-comment escape hatch.
+// Expectations are embedded in the fixtures themselves as
+// `// LINT-EXPECT: <rule>[, <rule>]` markers, so a fixture and its oracle can
+// never drift apart. The whole-tree passes are tested in tree_test.cpp.
 
 #include "lint.hpp"
 #include "lexer.hpp"
+#include "model.hpp"
 
 #include <gtest/gtest.h>
 
@@ -19,12 +21,17 @@ namespace simty::lint {
 namespace {
 
 std::string read_fixture(const std::string& name) {
-  const std::string path = std::string(SIMTY_LINT_FIXTURE_DIR) + "/" + name;
+  const std::string path = std::string(SIMTY_LINT_TEST_DIR) + "/fixtures/" + name;
   std::ifstream in(path, std::ios::binary);
   EXPECT_TRUE(in) << "missing fixture " << path;
   std::ostringstream buf;
   buf << in.rdbuf();
   return buf.str();
+}
+
+/// Checks one in-memory file as a one-file tree.
+std::vector<Finding> lint_source(const std::string& rel_path, const std::string& content) {
+  return lint_tree({{rel_path, content}}).findings;
 }
 
 using LineRule = std::pair<int, std::string>;
@@ -97,6 +104,10 @@ TEST(SimtyLintRules, StringLabelFiresInHotPath) {
   check_fixture("string_label.cpp", "src/sim/fixture.cpp");
 }
 
+TEST(SimtyLintRules, HotPathOwningFiresAndRespectsAllow) {
+  check_fixture("hot_path_owning.cpp", "src/sim/fixture.cpp");
+}
+
 TEST(SimtyLintRules, AssertFiresEverywhere) {
   check_fixture("asserts.cpp", "src/common/fixture.cpp");
 }
@@ -123,16 +134,17 @@ TEST(SimtyLintRules, DeterministicRulesScopedToDeterministicPaths) {
   EXPECT_TRUE(lint_source("bench/fixture.cpp", content).empty());
   EXPECT_TRUE(lint_source("src/cli/fixture.cpp", content).empty());
   EXPECT_TRUE(lint_source("tools/fixture.cpp", content).empty());
-  EXPECT_FALSE(lint_source("src/policy/fixture.cpp", content).empty());
   // The run tracer is deterministic code too: a wall-clock read there would
   // poison the trace-diff gate.
   EXPECT_FALSE(lint_source("src/trace/fixture.cpp", content).empty());
   // The model layers the event loop simulates through are in scope as well:
   // a wall-clock read in net/hw/power/usage/metrics breaks the same
   // bit-identical contract as one in the event core.
+  // snapshot and serve carry the contract across process boundaries.
   for (const char* path :
        {"src/net/fixture.cpp", "src/hw/fixture.cpp", "src/power/fixture.cpp",
-        "src/usage/fixture.cpp", "src/metrics/fixture.cpp"}) {
+        "src/usage/fixture.cpp", "src/metrics/fixture.cpp", "src/snapshot/fixture.cpp",
+        "src/serve/fixture.cpp"}) {
     SCOPED_TRACE(path);
     EXPECT_FALSE(lint_source(path, content).empty());
   }
@@ -161,8 +173,13 @@ TEST(SimtyLintRules, HotPathRulesScopedToSim) {
 
 TEST(SimtyLintRules, ExtraUnorderedNamesCoverCompanionHeaderMembers) {
   // Members declared in a header are invisible when linting the .cpp alone;
-  // Options::extra_unordered_names (fed by the CLI from the companion
-  // header) closes that hole.
+  // a tree run carries the companion header's unordered names over.
+  const std::string header =
+      "#pragma once\n"
+      "#include <unordered_map>\n"
+      "namespace f {\n"
+      "struct T { void run(); std::unordered_map<int, int> members_; };\n"
+      "}\n";
   const std::string body =
       "namespace f {\n"
       "void T::run() {\n"
@@ -170,12 +187,11 @@ TEST(SimtyLintRules, ExtraUnorderedNamesCoverCompanionHeaderMembers) {
       "}\n"
       "}\n";
   EXPECT_TRUE(lint_source("src/alarm/t.cpp", body).empty());
-  Options opts;
-  opts.extra_unordered_names = {"members_"};
-  const auto findings = lint_source("src/alarm/t.cpp", body, opts);
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].rule, "unordered-iter");
-  EXPECT_EQ(findings[0].line, 3);
+  const Report report = lint_tree({{"src/alarm/t.hpp", header}, {"src/alarm/t.cpp", body}});
+  ASSERT_EQ(report.findings.size(), 1u);
+  EXPECT_EQ(report.findings[0].file, "src/alarm/t.cpp");
+  EXPECT_EQ(report.findings[0].rule, "unordered-iter");
+  EXPECT_EQ(report.findings[0].line, 3);
 }
 
 TEST(SimtyLintLexer, BlanksLiteralsAndKeepsStructure) {
@@ -247,45 +263,46 @@ TEST(SimtyLintLexer, BackslashContinuedLineComments) {
 }
 
 TEST(SimtyLintLexer, DirectiveTagSelectsToolNamespace) {
-  // The same source carries hatches for both tools; each scan must honour
-  // only its own tag.
+  // Only the `simty-lint:` tag is a hatch, for per-file and whole-tree rules
+  // alike; another tool's allow() in the same comment style waives nothing.
   const std::string src =
-      "int a;  // simty-lint: allow(wall-clock)\n"
-      "int b;  // simty-analyze: allow(taint)\n";
-  const FileScan lint_scan = scan_source(src);
-  EXPECT_EQ(lint_scan.line_allows[0], (std::vector<std::string>{"wall-clock"}));
-  EXPECT_TRUE(lint_scan.line_allows[1].empty());
-  const FileScan analyze_scan = scan_source(src, "simty-analyze:");
-  EXPECT_TRUE(analyze_scan.line_allows[0].empty());
-  EXPECT_EQ(analyze_scan.line_allows[1], (std::vector<std::string>{"taint"}));
+      "int a;  // simty-lint: allow(wall-clock, taint)\n"
+      "int b;  // other-tool: allow(taint)\n";
+  const FileScan scan = scan_source(src);
+  EXPECT_EQ(scan.line_allows[0], (std::vector<std::string>{"wall-clock", "taint"}));
+  EXPECT_TRUE(scan.line_allows[1].empty());
+  EXPECT_TRUE(scan.allows(0, "taint"));
+  EXPECT_FALSE(scan.allows(1, "taint"));
 }
 
 TEST(SimtyLintApi, UnorderedNamesInFindsAliasesAndMembers) {
-  const auto names = unordered_names_in(
+  const auto names = unordered_names_in(scan_source(
       "#pragma once\n"
       "#include <unordered_map>\n"
       "using Index = std::unordered_map<int, int>;\n"
       "struct S {\n"
       "  std::unordered_map<int, std::vector<int>> by_id_;\n"
       "  Index index_;\n"
-      "};\n");
+      "};\n"));
   EXPECT_NE(std::find(names.begin(), names.end(), "by_id_"), names.end());
   EXPECT_NE(std::find(names.begin(), names.end(), "index_"), names.end());
 }
 
 TEST(SimtyLintApi, JsonReportEscapesAndCounts) {
-  const std::vector<Finding> findings = {
-      {"src/a.cpp", 3, "assert", "uses \"assert\""}};
-  const std::string json = to_json(findings, 7);
+  Report report;
+  report.findings = {{"src/a.cpp", 3, "assert", "uses \"assert\"", {}}};
+  report.files = 7;
+  const std::string json = to_json(report);
   EXPECT_NE(json.find("\"files_scanned\": 7"), std::string::npos);
   EXPECT_NE(json.find("\\\"assert\\\""), std::string::npos);
   EXPECT_NE(json.find("\"line\": 3"), std::string::npos);
-  EXPECT_EQ(to_json({}, 0).find("\"findings\": []") == std::string::npos, false);
+  EXPECT_NE(json.find("\"chain\": []"), std::string::npos);
+  EXPECT_NE(to_json(Report{}).find("\"findings\": []"), std::string::npos);
 }
 
 TEST(SimtyLintApi, RuleNamesStable) {
   const auto& names = rule_names();
-  EXPECT_EQ(names.size(), 11u);
+  EXPECT_EQ(names.size(), 14u);  // 11 per-file rules + 3 whole-tree passes
   EXPECT_NE(std::find(names.begin(), names.end(), "wall-clock"), names.end());
   EXPECT_NE(std::find(names.begin(), names.end(), "unordered-iter"), names.end());
   EXPECT_NE(std::find(names.begin(), names.end(), "hot-path-owning"), names.end());

@@ -25,7 +25,8 @@ void trim(std::string& s) {
 
 /// Extracts `allow(...)` / `allow-file(...)` directives from comment text.
 void parse_directives(std::string_view comment, std::size_t start_line,
-                      std::string_view tag, std::vector<Directive>& out) {
+                      std::vector<Directive>& out) {
+  constexpr std::string_view tag = "simty-lint:";
   std::size_t pos = 0;
   while ((pos = comment.find(tag, pos)) != std::string_view::npos) {
     std::size_t p = pos + tag.size();
@@ -68,6 +69,13 @@ void parse_directives(std::string_view comment, std::size_t start_line,
 
 }  // namespace
 
+bool FileScan::allows(std::size_t line, std::string_view rule) const {
+  const auto hit = [&](const std::vector<std::string>& v) {
+    return std::find(v.begin(), v.end(), rule) != v.end();
+  };
+  return hit(file_allows) || (line < line_allows.size() && hit(line_allows[line]));
+}
+
 bool has_word(std::string_view code, std::string_view name) {
   std::size_t pos = 0;
   while ((pos = code.find(name, pos)) != std::string_view::npos) {
@@ -82,7 +90,7 @@ bool has_word(std::string_view code, std::string_view name) {
   return false;
 }
 
-FileScan scan_source(std::string_view content, std::string_view tag) {
+FileScan scan_source(std::string_view content) {
   FileScan scan;
   std::vector<Directive> directives;
 
@@ -100,7 +108,7 @@ FileScan scan_source(std::string_view content, std::string_view tag) {
     ++line;
   };
   auto end_comment = [&] {
-    parse_directives(current_comment, comment_start_line, tag, directives);
+    parse_directives(current_comment, comment_start_line, directives);
     current_comment.clear();
   };
 

@@ -1,77 +1,67 @@
 #pragma once
-// SIMTY-specific determinism lint.
+// SIMTY determinism checker: per-file rules plus whole-tree passes.
 //
 // The simulator's load-bearing contract is bit-identical determinism:
 // NATIVE-vs-SIMTY comparisons (and the parallel runner's submission-order
 // reduction) are only meaningful if a run is a pure function of its seed.
-// Generic tools cannot check that contract, so this linter enforces the
-// project-local rules the event core relies on — no wall-clock reads, no
-// unseeded randomness, no hash- or iteration-order-dependent logic in
-// deterministic code, and the EventFn/intern_label hot-path rules from the
-// event-queue rewrite. Every rule has an inline escape hatch:
+// Generic tools cannot check that contract, so this checker enforces the
+// project-local rules the event core relies on. Per file: no wall-clock
+// reads, no unseeded randomness, no hash- or iteration-order-dependent logic
+// in deterministic code, and the EventFn/intern_label hot-path rules. Over
+// the whole tree (include graph + call graph): no nondeterminism source
+// reachable from a deterministic function through helpers (`taint`), no
+// include against the module DAG (`layering`), no include cycle. Every rule
+// has an inline escape hatch:
 //
 //   code();  // simty-lint: allow(rule-a, rule-b)   — this line
 //   // simty-lint: allow(rule-a)                    — next code line
 //   // simty-lint: allow-file(rule-a)               — whole file
 //
-// DESIGN.md ("Static analysis & determinism gates") documents each rule.
+// DESIGN.md §6.1 documents each rule.
 
+#include <cstddef>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace simty::lint {
 
+/// One file handed to the checker: repo-relative path + full contents.
+struct SourceFile {
+  std::string path;  // '/'-separated, e.g. "src/sim/event_queue.cpp"
+  std::string content;
+};
+
 /// One rule violation at a source location.
 struct Finding {
-  std::string file;   // path as given to the linter (repo-relative in CI)
+  std::string file;   // path as given to the checker (repo-relative in CI)
   int line = 0;       // 1-based
   std::string rule;   // stable rule name, e.g. "wall-clock"
   std::string message;
+  /// Evidence trail, outermost first: the call chain from the deterministic
+  /// function to the source, or the include chain around a cycle. Empty for
+  /// single-site findings.
+  std::vector<std::string> chain;
 };
 
-/// Path classification; prefixes are '/'-separated and repo-relative.
-struct Options {
-  /// Code that must be a pure function of the seed: the discrete-event
-  /// core, the alarm/policy layer, the experiment runner, the run tracer
-  /// (a nondeterministic tracer would poison the snapshot_diff gate on
-  /// `--trace` files), the fleet sampler/aggregator (whose bit-identical
-  /// serial-vs-parallel contract is gated in CI), and the model layers they simulate through —
-  /// net/hw/power/usage/metrics all execute inside the event loop, so a
-  /// wall-clock read or unseeded draw there breaks the same contract.
-  /// snapshot (checkpoint bytes must not depend on when they were written)
-  /// and serve (cached results must equal freshly computed ones) extend the
-  /// same contract across process boundaries.
-  std::vector<std::string> deterministic_prefixes = {
-      "src/sim",   "src/alarm",   "src/exp",   "src/policy", "src/trace",
-      "src/fleet", "src/net",     "src/hw",    "src/power",  "src/usage",
-      "src/metrics", "src/snapshot", "src/serve"};
-  /// The event hot path: EventFn instead of std::function, interned
-  /// const char* labels instead of std::string.
-  std::vector<std::string> hot_path_prefixes = {"src/sim"};
-  /// Files where per-event work must not introduce owning std:: containers
-  /// or type-erased callables outside the arena-backed types (Arena,
-  /// ArenaVector, EventFn). Entries may be directories or single files.
-  std::vector<std::string> owning_hot_path_prefixes = {"src/sim"};
-  /// Unordered-container names declared outside this file (e.g. members
-  /// declared in the companion header of a .cpp being linted).
-  std::vector<std::string> extra_unordered_names;
+struct Report {
+  std::vector<Finding> findings;  // sorted by file, line, rule, message
+  std::size_t files = 0;
+  std::size_t functions = 0;
+  std::size_t call_edges = 0;
+  std::size_t include_edges = 0;
 };
 
-/// Stable names of every rule, for --list-rules and allow() validation.
+/// Stable names of every rule, for --list-rules.
 const std::vector<std::string>& rule_names();
 
-/// Lints one in-memory source file. `rel_path` decides which rule sets
-/// apply (deterministic / hot-path / header-only rules).
-std::vector<Finding> lint_source(std::string_view rel_path, std::string_view content,
-                                 const Options& opts = {});
+/// Checks a whole file set: each file is scanned once, the per-file rules
+/// run on it (its path decides which apply; a .cpp also sees the unordered
+/// members of its companion header in the set), then the taint, layering
+/// and include-cycle passes run over the include and call graphs.
+/// Order-insensitive.
+Report lint_tree(const std::vector<SourceFile>& sources);
 
-/// Collects identifiers declared as unordered containers in `content`
-/// (used to seed Options::extra_unordered_names from a companion header).
-std::vector<std::string> unordered_names_in(std::string_view content);
-
-/// Renders findings as a machine-readable JSON report.
-std::string to_json(const std::vector<Finding>& findings,
-                    std::size_t files_scanned);
+/// Renders a report as machine-readable JSON.
+std::string to_json(const Report& report);
 
 }  // namespace simty::lint

@@ -1,13 +1,16 @@
-// simty_lint — SIMTY determinism linter (see lint.hpp for the rule set).
+// simty_lint — SIMTY determinism checker (see lint.hpp for the rule set).
 //
 // Usage:
 //   simty_lint [--root DIR] [--json FILE] [--list-rules] PATH...
 //
 // PATHs are files or directories, resolved relative to --root (default: the
-// current directory). Directories are walked recursively for .hpp/.h/.cpp/.cc
-// files; build trees and dot-directories are skipped. Exit status: 0 clean,
-// 1 findings, 2 usage or I/O error. Registered as the `simty_lint` ctest over
-// src/, bench/, examples/, and tools/.
+// current directory); paths are recorded relative to --root so the path
+// scopes and the module table match. Directories are walked recursively for
+// .hpp/.h/.cpp/.cc files; build trees and dot-directories are skipped. The
+// whole file set is checked at once (the taint and layering passes need the
+// include and call graphs), so pass tree roots, not single files. Exit
+// status: 0 clean, 1 findings, 2 usage or I/O error. Registered as the
+// `simty_lint` ctest over src/, bench/, examples/, and tools/.
 
 #include "lint.hpp"
 
@@ -97,7 +100,8 @@ int main(int argc, char** argv) {
   std::sort(files.begin(), files.end());
   files.erase(std::unique(files.begin(), files.end()), files.end());
 
-  std::vector<simty::lint::Finding> findings;
+  std::vector<simty::lint::SourceFile> sources;
+  sources.reserve(files.size());
   for (const auto& file : files) {
     std::ifstream in(file, std::ios::binary);
     if (!in) {
@@ -106,31 +110,13 @@ int main(int argc, char** argv) {
     }
     std::ostringstream buf;
     buf << in.rdbuf();
-    const std::string rel = rel_to(root, file);
-
-    simty::lint::Options opts;
-    // A .cpp's unordered members are declared in its companion header;
-    // carry those names over so iteration in the .cpp is still caught.
-    if (file.extension() == ".cpp" || file.extension() == ".cc") {
-      fs::path header = file;
-      for (const char* ext : {".hpp", ".h"}) {
-        header.replace_extension(ext);
-        std::ifstream hin(header, std::ios::binary);
-        if (hin) {
-          std::ostringstream hbuf;
-          hbuf << hin.rdbuf();
-          const auto names = simty::lint::unordered_names_in(hbuf.str());
-          opts.extra_unordered_names.insert(opts.extra_unordered_names.end(), names.begin(),
-                                            names.end());
-        }
-      }
-    }
-    const auto file_findings = simty::lint::lint_source(rel, buf.str(), opts);
-    findings.insert(findings.end(), file_findings.begin(), file_findings.end());
+    sources.push_back({rel_to(root, file), buf.str()});
   }
+  const simty::lint::Report report = simty::lint::lint_tree(sources);
 
-  for (const auto& f : findings) {
+  for (const auto& f : report.findings) {
     std::printf("%s:%d: [%s] %s\n", f.file.c_str(), f.line, f.rule.c_str(), f.message.c_str());
+    for (const auto& step : f.chain) std::printf("    %s\n", step.c_str());
   }
   if (!json_path.empty()) {
     std::ofstream out(json_path, std::ios::binary);
@@ -138,12 +124,10 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "simty_lint: cannot write %s\n", json_path.c_str());
       return 2;
     }
-    out << simty::lint::to_json(findings, files.size());
+    out << simty::lint::to_json(report);
   }
-  if (findings.empty()) {
-    std::printf("simty_lint: %zu files clean\n", files.size());
-    return 0;
-  }
-  std::printf("simty_lint: %zu finding(s) in %zu files\n", findings.size(), files.size());
-  return 1;
+  std::printf("simty_lint: %zu files, %zu functions, %zu call edges, %zu include edges: %zu finding(s)\n",
+              report.files, report.functions, report.call_edges, report.include_edges,
+              report.findings.size());
+  return report.findings.empty() ? 0 : 1;
 }

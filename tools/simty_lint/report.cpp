@@ -25,12 +25,18 @@ void append_escaped(std::string& out, const std::string& s) {
 
 }  // namespace
 
-std::string to_json(const std::vector<Finding>& findings, std::size_t files_scanned) {
-  std::string out = "{\n  \"version\": 1,\n  \"files_scanned\": ";
-  out += std::to_string(files_scanned);
+std::string to_json(const Report& report) {
+  std::string out = "{\n  \"version\": 2,\n  \"files_scanned\": ";
+  out += std::to_string(report.files);
+  out += ",\n  \"functions\": ";
+  out += std::to_string(report.functions);
+  out += ",\n  \"call_edges\": ";
+  out += std::to_string(report.call_edges);
+  out += ",\n  \"include_edges\": ";
+  out += std::to_string(report.include_edges);
   out += ",\n  \"findings\": [";
-  for (std::size_t i = 0; i < findings.size(); ++i) {
-    const Finding& f = findings[i];
+  for (std::size_t i = 0; i < report.findings.size(); ++i) {
+    const Finding& f = report.findings[i];
     out += i == 0 ? "\n" : ",\n";
     out += "    {\"file\": \"";
     append_escaped(out, f.file);
@@ -40,9 +46,15 @@ std::string to_json(const std::vector<Finding>& findings, std::size_t files_scan
     append_escaped(out, f.rule);
     out += "\", \"message\": \"";
     append_escaped(out, f.message);
-    out += "\"}";
+    out += "\", \"chain\": [";
+    for (std::size_t c = 0; c < f.chain.size(); ++c) {
+      out += c == 0 ? "\"" : ", \"";
+      append_escaped(out, f.chain[c]);
+      out += '"';
+    }
+    out += "]}";
   }
-  out += findings.empty() ? "]\n}\n" : "\n  ]\n}\n";
+  out += report.findings.empty() ? "]\n}\n" : "\n  ]\n}\n";
   return out;
 }
 

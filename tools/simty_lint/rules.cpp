@@ -1,5 +1,4 @@
-#include "lint.hpp"
-#include "lexer.hpp"
+#include "model.hpp"
 
 #include <algorithm>
 #include <cctype>
@@ -10,6 +9,18 @@
 #include <utility>
 
 namespace simty::lint {
+
+bool under_prefix(std::string_view path, std::string_view prefix) {
+  return path.starts_with(prefix) &&
+         (path.size() == prefix.size() || path[prefix.size()] == '/' ||
+          path[prefix.size()] == '.');
+}
+
+bool under_any(std::string_view path, const std::vector<std::string>& prefixes) {
+  return std::any_of(prefixes.begin(), prefixes.end(),
+                     [&](const std::string& pre) { return under_prefix(path, pre); });
+}
+
 namespace {
 
 bool ident_char(char c) {
@@ -17,20 +28,6 @@ bool ident_char(char c) {
 }
 
 bool space_char(char c) { return std::isspace(static_cast<unsigned char>(c)) != 0; }
-
-std::string normalize(std::string_view path) {
-  std::string p(path);
-  std::replace(p.begin(), p.end(), '\\', '/');
-  while (p.rfind("./", 0) == 0) p.erase(0, 2);
-  return p;
-}
-
-bool under_any(const std::string& path, const std::vector<std::string>& prefixes) {
-  return std::any_of(prefixes.begin(), prefixes.end(), [&](const std::string& pre) {
-    return path.rfind(pre, 0) == 0 &&
-           (path.size() == pre.size() || path[pre.size()] == '/');
-  });
-}
 
 bool is_header(const std::string& path) {
   return path.ends_with(".hpp") || path.ends_with(".h");
@@ -47,7 +44,7 @@ std::string trimmed(std::string_view s) {
 /// constructs, and the allow filter applied at emission time.
 struct Ctx {
   std::string path;
-  FileScan scan;
+  const FileScan& scan;
   std::string joined;                   // blanked code lines joined by '\n'
   std::vector<std::size_t> line_start;  // joined offset of each line
   std::vector<std::string> raw_lines;   // unblanked lines (include paths)
@@ -58,17 +55,10 @@ struct Ctx {
     return static_cast<std::size_t>(it - line_start.begin()) - 1;
   }
 
-  bool allowed(std::size_t line, const std::string& rule) const {
-    const auto hit = [&](const std::vector<std::string>& v) {
-      return std::find(v.begin(), v.end(), rule) != v.end();
-    };
-    return hit(scan.file_allows) ||
-           (line < scan.line_allows.size() && hit(scan.line_allows[line]));
-  }
-
-  void emit(std::size_t line, const std::string& rule, std::string message) {
-    if (allowed(line, rule)) return;
-    out->push_back(Finding{path, static_cast<int>(line) + 1, rule, std::move(message)});
+  void emit(std::size_t line, std::string_view rule, std::string message) {
+    if (scan.allows(line, rule)) return;
+    out->push_back(
+        Finding{path, static_cast<int>(line) + 1, std::string(rule), std::move(message), {}});
   }
 };
 
@@ -174,55 +164,38 @@ void collect_unordered(std::string_view joined, std::vector<std::string>& vars,
 // Rules
 // ---------------------------------------------------------------------------
 
-void rule_wall_clock(Ctx& ctx) {
-  static const std::vector<std::string> kClocks = {
-      "system_clock", "steady_clock",  "high_resolution_clock", "utc_clock",
-      "file_clock",   "gettimeofday",  "clock_gettime",         "timespec_get",
-      "localtime",    "gmtime",        "strftime",              "mktime",
-      "asctime",      "ctime",         "clock"};
-  for (std::size_t l = 0; l < ctx.scan.code.size(); ++l) {
-    for (const auto& tok : kClocks) {
-      if (has_word(ctx.scan.code[l], tok)) {
-        ctx.emit(l, "wall-clock",
-                 "wall-clock source `" + tok +
-                     "` in deterministic code; simulated time comes from "
-                     "sim::Simulator::now()");
-        break;
-      }
-    }
-  }
-}
-
-void rule_raw_rand(Ctx& ctx) {
-  static const std::vector<std::string> kRand = {
-      "rand",     "srand",        "rand_r",       "drand48",
-      "lrand48",  "random_device", "mt19937",     "mt19937_64",
-      "minstd_rand", "minstd_rand0", "default_random_engine", "knuth_b",
-      "ranlux24", "ranlux48",     "random_shuffle"};
-  for (std::size_t l = 0; l < ctx.scan.code.size(); ++l) {
-    for (const auto& tok : kRand) {
-      if (has_word(ctx.scan.code[l], tok)) {
-        ctx.emit(l, "raw-rand",
-                 "unseeded/non-reproducible randomness `" + tok +
-                     "` in deterministic code; draw from a seeded simty::Rng");
-        break;
-      }
-    }
-  }
-}
-
-void rule_std_hash(Ctx& ctx) {
-  for (std::size_t l = 0; l < ctx.scan.code.size(); ++l) {
-    if (has_word(ctx.scan.code[l], "std::hash")) {
-      ctx.emit(l, "std-hash",
+/// wall-clock, raw-rand and std-hash: every sources() entry in the file,
+/// at most one finding per line and rule.
+void rule_sources(Ctx& ctx) {
+  const std::string_view joined = ctx.joined;
+  std::vector<std::pair<std::size_t, std::string_view>> seen;  // (line, rule)
+  for (std::size_t i = 0; i < joined.size(); ++i) {
+    if (!ident_char(joined[i]) || (i > 0 && ident_char(joined[i - 1]))) continue;
+    const Source* src = source_at(joined, i);
+    if (src == nullptr || src->rule == "taint") continue;
+    const std::size_t line = ctx.line_of(i);
+    if (std::find(seen.begin(), seen.end(), std::pair{line, src->rule}) != seen.end()) continue;
+    seen.emplace_back(line, src->rule);
+    const std::string name(src->name);
+    if (src->rule == "wall-clock") {
+      ctx.emit(line, src->rule,
+               "wall-clock source `" + name +
+                   "` in deterministic code; simulated time comes from "
+                   "sim::Simulator::now()");
+    } else if (src->rule == "raw-rand") {
+      ctx.emit(line, src->rule,
+               "unseeded/non-reproducible randomness `" + name +
+                   "` in deterministic code; draw from a seeded simty::Rng");
+    } else {
+      ctx.emit(line, src->rule,
                "std::hash values are implementation-defined; deterministic "
                "logic must not depend on them");
     }
   }
 }
 
-void rule_unordered_iter(Ctx& ctx, const Options& opts) {
-  std::vector<std::string> vars = opts.extra_unordered_names;
+void rule_unordered_iter(Ctx& ctx, const std::vector<std::string>& extra_unordered) {
+  std::vector<std::string> vars = extra_unordered;
   std::vector<std::string> aliases;
   collect_unordered(ctx.joined, vars, aliases);
   std::sort(vars.begin(), vars.end());
@@ -385,7 +358,7 @@ void rule_assert(Ctx& ctx) {
 /// reset. References and pointers to owning containers are fine (borrowing
 /// is not owning), as are the arena-backed types themselves (they are not
 /// std:: names, so they never match).
-void rule_hot_path_owning(Ctx& ctx, bool fn_rules_active) {
+void rule_hot_path_owning(Ctx& ctx) {
   const std::string_view joined = ctx.joined;
   auto check_token = [&](const std::string& tok, bool needs_angles) {
     for_each_word(joined, tok, [&](std::size_t pos) {
@@ -416,12 +389,8 @@ void rule_hot_path_owning(Ctx& ctx, bool fn_rules_active) {
       "list",   "forward_list"};
   for (const auto& t : kOwning) check_token(t, /*needs_angles=*/true);
   for (const auto& t : kUnorderedTypes) check_token(t, /*needs_angles=*/true);
-  // std::function / std::string are already covered by the std-function and
-  // string-label rules where those run; only pick them up elsewhere.
-  if (!fn_rules_active) {
-    check_token("function", /*needs_angles=*/true);
-    check_token("string", /*needs_angles=*/false);
-  }
+  // std::function and std::string are left to the std-function and
+  // string-label rules, which run on the same files.
 }
 
 void rule_pragma_once(Ctx& ctx) {
@@ -469,38 +438,129 @@ void rule_include_hygiene(Ctx& ctx) {
 
 const std::vector<std::string>& rule_names() {
   static const std::vector<std::string> kNames = {
-      "wall-clock", "raw-rand",     "std-hash",     "unordered-iter",
-      "float-time", "std-function", "string-label", "assert",
-      "pragma-once", "include-hygiene", "hot-path-owning"};
+      "wall-clock",     "raw-rand",     "std-hash",        "unordered-iter",
+      "float-time",     "std-function", "string-label",    "assert",
+      "pragma-once",    "include-hygiene", "hot-path-owning", "taint",
+      "layering",       "include-cycle"};
   return kNames;
 }
 
-std::vector<std::string> unordered_names_in(std::string_view content) {
-  const FileScan scan = scan_source(content);
+const std::vector<Source>& sources() {
+  // Short libc names are guarded so members and locals named `clock` or
+  // `time` do not count; the rest are unambiguous words.
+  static const std::vector<Source> kSources = {
+      {"system_clock", "wall-clock", Guard::kWord},
+      {"steady_clock", "wall-clock", Guard::kWord},
+      {"high_resolution_clock", "wall-clock", Guard::kWord},
+      {"utc_clock", "wall-clock", Guard::kWord},
+      {"file_clock", "wall-clock", Guard::kWord},
+      {"gettimeofday", "wall-clock", Guard::kWord},
+      {"clock_gettime", "wall-clock", Guard::kWord},
+      {"timespec_get", "wall-clock", Guard::kWord},
+      {"localtime", "wall-clock", Guard::kWord},
+      {"gmtime", "wall-clock", Guard::kWord},
+      {"strftime", "wall-clock", Guard::kWord},
+      {"mktime", "wall-clock", Guard::kWord},
+      {"asctime", "wall-clock", Guard::kWord},
+      {"ctime", "wall-clock", Guard::kCall},
+      {"clock", "wall-clock", Guard::kCall},
+      {"std::time", "wall-clock", Guard::kQualified},
+      {"::time", "wall-clock", Guard::kQualified},
+      {"rand", "raw-rand", Guard::kCall},
+      {"srand", "raw-rand", Guard::kCall},
+      {"rand_r", "raw-rand", Guard::kWord},
+      {"drand48", "raw-rand", Guard::kWord},
+      {"lrand48", "raw-rand", Guard::kWord},
+      {"random_device", "raw-rand", Guard::kWord},
+      {"mt19937", "raw-rand", Guard::kWord},
+      {"mt19937_64", "raw-rand", Guard::kWord},
+      {"minstd_rand", "raw-rand", Guard::kWord},
+      {"minstd_rand0", "raw-rand", Guard::kWord},
+      {"default_random_engine", "raw-rand", Guard::kWord},
+      {"knuth_b", "raw-rand", Guard::kWord},
+      {"ranlux24", "raw-rand", Guard::kWord},
+      {"ranlux48", "raw-rand", Guard::kWord},
+      {"random_shuffle", "raw-rand", Guard::kWord},
+      {"std::hash", "std-hash", Guard::kQualified},
+      {"getenv", "taint", Guard::kCall},
+      {"this_thread::get_id", "taint", Guard::kQualified},
+      {"reinterpret_cast", "taint", Guard::kIntptrCast},
+  };
+  return kSources;
+}
+
+const Source* source_at(std::string_view text, std::size_t pos) {
+  std::size_t end = pos;
+  while (end < text.size() && ident_char(text[end])) ++end;
+  const std::string_view word = text.substr(pos, end - pos);
+  for (const Source& src : sources()) {
+    const std::size_t colons = src.name.rfind("::");
+    const std::string_view base =
+        colons == std::string_view::npos ? src.name : src.name.substr(colons + 2);
+    if (word != base) continue;
+    switch (src.guard) {
+      case Guard::kWord:
+        return &src;
+      case Guard::kCall: {
+        const bool member =
+            (pos >= 1 && text[pos - 1] == '.') || (pos >= 2 && text.substr(pos - 2, 2) == "->");
+        const std::size_t p = skip_ws(text, end);
+        if (!member && p < text.size() && text[p] == '(') return &src;
+        break;
+      }
+      case Guard::kQualified: {
+        // The written qualifier must be exactly the table's: `std::time`
+        // and `::time` count, `Sim::time` does not.
+        const std::string_view qual = src.name.substr(0, colons + 2);
+        if (pos < qual.size() || text.substr(pos - qual.size(), qual.size()) != qual) break;
+        const std::size_t before = pos - qual.size();
+        if (before == 0 || !ident_char(text[before - 1])) return &src;
+        break;
+      }
+      case Guard::kIntptrCast: {
+        const std::size_t lt = skip_ws(text, end);
+        if (lt >= text.size() || text[lt] != '<') break;
+        const std::size_t gt = skip_angles(text, lt);
+        if (gt != std::string_view::npos &&
+            text.substr(lt, gt - lt).find("intptr") != std::string_view::npos) {
+          return &src;
+        }
+        break;
+      }
+    }
+  }
+  return nullptr;
+}
+
+namespace {
+
+std::string join_lines(const FileScan& scan) {
   std::string joined;
   for (const auto& line : scan.code) {
     joined += line;
     joined += '\n';
   }
+  return joined;
+}
+
+}  // namespace
+
+std::vector<std::string> unordered_names_in(const FileScan& scan) {
   std::vector<std::string> vars;
   std::vector<std::string> aliases;
-  collect_unordered(joined, vars, aliases);
+  collect_unordered(join_lines(scan), vars, aliases);
   return vars;
 }
 
-std::vector<Finding> lint_source(std::string_view rel_path, std::string_view content,
-                                 const Options& opts) {
+std::vector<Finding> lint_file(std::string_view rel_path, std::string_view content,
+                               const FileScan& scan,
+                               const std::vector<std::string>& extra_unordered) {
   std::vector<Finding> out;
-  Ctx ctx;
-  ctx.path = normalize(rel_path);
-  ctx.scan = scan_source(content);
-  ctx.out = &out;
+  Ctx ctx{std::string(rel_path), scan, join_lines(scan), {}, {}, &out};
   std::size_t start = 0;
-  for (const auto& code_line : ctx.scan.code) {
+  for (const auto& code_line : scan.code) {
     ctx.line_start.push_back(start);
     start += code_line.size() + 1;
-    ctx.joined += code_line;
-    ctx.joined += '\n';
   }
   // Keep the raw (unblanked) lines around for include-path extraction.
   std::size_t begin = 0;
@@ -510,27 +570,20 @@ std::vector<Finding> lint_source(std::string_view rel_path, std::string_view con
       begin = i + 1;
     }
   }
-  while (ctx.raw_lines.size() < ctx.scan.code.size()) ctx.raw_lines.emplace_back();
-
-  const bool det = under_any(ctx.path, opts.deterministic_prefixes);
-  const bool hot = under_any(ctx.path, opts.hot_path_prefixes);
+  while (ctx.raw_lines.size() < scan.code.size()) ctx.raw_lines.emplace_back();
 
   if (is_header(ctx.path)) rule_pragma_once(ctx);
   rule_include_hygiene(ctx);
   rule_assert(ctx);
-  rule_unordered_iter(ctx, opts);
-  if (det) {
-    rule_wall_clock(ctx);
-    rule_raw_rand(ctx);
-    rule_std_hash(ctx);
+  rule_unordered_iter(ctx, extra_unordered);
+  if (under_any(ctx.path, kDeterministicPrefixes)) {
+    rule_sources(ctx);
     rule_float_time(ctx);
   }
-  if (hot) {
+  if (under_prefix(ctx.path, kHotPathPrefix)) {
     rule_std_function(ctx);
     rule_string_label(ctx);
-  }
-  if (under_any(ctx.path, opts.owning_hot_path_prefixes)) {
-    rule_hot_path_owning(ctx, hot);
+    rule_hot_path_owning(ctx);
   }
 
   std::sort(out.begin(), out.end(), [](const Finding& a, const Finding& b) {

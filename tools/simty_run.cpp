@@ -24,9 +24,7 @@
 #include "power/monitor.hpp"
 #include "exp/reporting.hpp"
 #include "exp/run.hpp"
-// The IWYU heuristic only sees classes and definitions, not declared free
-// functions (read_file / write_file_atomic are what's used here).
-#include "snapshot/snapshot.hpp"  // simty-analyze: allow(include)
+#include "snapshot/snapshot.hpp"
 #include "trace/delivery_log.hpp"
 #include "trace/tracer.hpp"
 
