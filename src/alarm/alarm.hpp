@@ -125,6 +125,8 @@ class Alarm {
   std::string to_string() const;
 
  private:
+  friend class AlarmManager;
+
   void update_perceptibility();
 
   AlarmId id_;
@@ -135,6 +137,10 @@ class Alarm {
   bool perceptible_ = true;
   Duration expected_hold_ = Duration::zero();
   std::uint64_t delivery_count_ = 0;
+  /// The owning manager's registration record (an index into its table),
+  /// so delivery reaches the handler without an id lookup. Meaningless for
+  /// an alarm no manager owns.
+  std::uint32_t record_ = 0;
 };
 
 }  // namespace simty::alarm

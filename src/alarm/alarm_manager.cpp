@@ -1,6 +1,7 @@
 #include "alarm/alarm_manager.hpp"
 
 #include <algorithm>
+#include <map>
 
 #include "common/check.hpp"
 #include "common/logging.hpp"
@@ -26,26 +27,61 @@ AlarmId AlarmManager::register_alarm(AlarmSpec spec, TimePoint first_nominal,
   SIMTY_CHECK_MSG(first_nominal >= sim_.now(),
                   "alarm nominal time must not be in the past");
   const AlarmId id{next_id_++};
-  auto alarm = std::make_unique<Alarm>(id, std::move(spec), first_nominal);
-  Alarm* raw = alarm.get();
-  registry_.emplace(id.value, Registered{std::move(alarm), std::move(handler)});
+  Alarm* raw = adopt(Alarm(id, std::move(spec), first_nominal), std::move(handler));
   ++stats_.registrations;
   insert(raw);
   return id;
 }
 
+Alarm* AlarmManager::adopt(Alarm alarm, DeliveryHandler handler) {
+  SIMTY_CHECK_MSG(registry_.empty() || registry_.back().id < alarm.id().value,
+                  "alarm ids must be registered in ascending order");
+  std::uint32_t idx;
+  if (free_records_.empty()) {
+    idx = static_cast<std::uint32_t>(records_.size());
+    records_.push_back(std::make_unique<Record>(std::move(alarm)));
+  } else {
+    idx = free_records_.back();
+    free_records_.pop_back();
+    records_[idx]->alarm = std::move(alarm);
+  }
+  Record& rec = *records_[idx];
+  rec.alarm.record_ = idx;
+  rec.handler = std::move(handler);
+  rec.pending = 0;
+  rec.registered = true;
+  registry_.push_back(IdEntry{rec.alarm.id().value, idx});
+  return &rec.alarm;
+}
+
+AlarmManager::IdIter AlarmManager::lower_bound_id(std::uint64_t id) const {
+  return std::lower_bound(
+      registry_.begin(), registry_.end(), id,
+      [](const IdEntry& e, std::uint64_t value) { return e.id < value; });
+}
+
+AlarmManager::IdIter AlarmManager::find_entry(std::uint64_t id) const {
+  const IdIter it = lower_bound_id(id);
+  return it != registry_.end() && it->id == id ? it : registry_.end();
+}
+
 void AlarmManager::set(AlarmId id, TimePoint nominal) {
-  const auto it = registry_.find(id.value);
+  const auto it = find_entry(id.value);
   SIMTY_CHECK_MSG(it != registry_.end(), "set: unknown alarm");
   SIMTY_CHECK_MSG(nominal >= sim_.now(), "set: nominal time in the past");
+  Record& rec = *records_[it->record];
+  rec.moved = true;
+  Alarm* a = &rec.alarm;
   remove_from_queue(id);
-  it->second.alarm->reschedule(nominal);
-  insert(it->second.alarm.get());
+  a->reschedule(nominal);
+  insert(a);
 }
 
 void AlarmManager::cancel(AlarmId id) {
-  const auto it = registry_.find(id.value);
+  const IdIter it = find_entry(id.value);
   SIMTY_CHECK_MSG(it != registry_.end(), "cancel: unknown alarm");
+  // Realignment reinserts the other members but never registers or
+  // unregisters, so `it` stays valid.
   remove_from_queue(id);
   unregister(it);
   reprogram_rtc();
@@ -54,9 +90,9 @@ void AlarmManager::cancel(AlarmId id) {
 
 std::size_t AlarmManager::cancel_by_tag(const std::string& prefix) {
   std::vector<AlarmId> victims;
-  for (const auto& [id, reg] : registry_) {
-    if (reg.alarm->spec().tag.rfind(prefix, 0) == 0) {
-      victims.push_back(AlarmId{id});
+  for (const IdEntry& e : registry_) {
+    if (records_[e.record]->alarm.spec().tag.rfind(prefix, 0) == 0) {
+      victims.push_back(AlarmId{e.id});
     }
   }
   for (const AlarmId id : victims) cancel(id);
@@ -92,12 +128,12 @@ void AlarmManager::rebatch_all() {
 }
 
 bool AlarmManager::is_registered(AlarmId id) const {
-  return registry_.contains(id.value);
+  return find_entry(id.value) != registry_.end();
 }
 
 const Alarm* AlarmManager::find(AlarmId id) const {
-  const auto it = registry_.find(id.value);
-  return it == registry_.end() ? nullptr : it->second.alarm.get();
+  const auto it = find_entry(id.value);
+  return it == registry_.end() ? nullptr : &records_[it->record]->alarm;
 }
 
 void AlarmManager::add_delivery_observer(DeliveryObserver observer) {
@@ -204,28 +240,24 @@ void AlarmManager::recycle(std::unique_ptr<Batch> batch) {
   spare_batches_.push_back(std::move(batch));
 }
 
-void AlarmManager::acquisition_fired(const Alarm* a) {
-  // Ids are never reused, so a registered id is this very alarm.
-  const auto reg = registry_.find(a->id().value);
-  if (reg != registry_.end()) {
-    --reg->second.pending_acquisitions;
-    return;
-  }
-  const auto it = std::find_if(parked_.begin(), parked_.end(),
-                               [a](const Parked& p) { return p.alarm.get() == a; });
-  SIMTY_CHECK_MSG(it != parked_.end(), "wakelock acquisition for an unknown alarm");
-  if (--it->pending_acquisitions > 0) return;
-  // Swap-and-pop frees the alarm; the order of parked_ is unused.
-  std::swap(*it, parked_.back());
-  parked_.pop_back();
+void AlarmManager::release_pending(std::uint32_t record) {
+  Record& rec = *records_[record];
+  SIMTY_CHECK_MSG(rec.pending > 0, "wakelock acquisition for an unknown alarm");
+  if (--rec.pending > 0 || rec.registered) return;
+  // The last reader of a parked record is done: free it, keeping its Alarm
+  // object for the next registration.
+  rec.handler = nullptr;
+  free_records_.push_back(record);
 }
 
-void AlarmManager::unregister(std::map<std::uint64_t, Registered>::iterator it) {
-  if (it->second.pending_acquisitions > 0) {
-    parked_.push_back(
-        Parked{std::move(it->second.alarm), it->second.pending_acquisitions});
-  }
-  registry_.erase(it);
+void AlarmManager::unregister(IdIter entry) {
+  const std::uint32_t idx = entry->record;
+  registry_.erase(entry);
+  Record& rec = *records_[idx];
+  rec.registered = false;
+  if (rec.pending > 0) return;  // parked until release_pending drains it
+  rec.handler = nullptr;
+  free_records_.push_back(idx);
 }
 
 void AlarmManager::reposition(std::vector<std::unique_ptr<Batch>>& q,
@@ -350,9 +382,24 @@ void AlarmManager::deliver_batch(std::unique_ptr<Batch> batch) {
   session_.items.clear();
   last_seen_wakeups_ = device_.wakeup_count();
 
+  // Every member is pinned until its own delivery ends: a handler that
+  // cancels its own alarm, or a later member of this batch, parks that
+  // record instead of freeing it — a registration could otherwise recycle
+  // the Alarm object while this loop still holds it.
   for (Alarm* a : batch->members()) {
-    const auto reg_it = registry_.find(a->id().value);
-    SIMTY_CHECK_MSG(reg_it != registry_.end(), "delivering unregistered alarm");
+    Record& rec = *records_[a->record_];
+    ++rec.pending;
+    rec.moved = false;
+  }
+
+  for (Alarm* a : batch->members()) {
+    Record& rec = *records_[a->record_];
+    if (!rec.registered || rec.moved) {
+      // An earlier handler of this batch cancelled this alarm, or set() it
+      // to another time (it is queued there): not delivered now.
+      release_pending(a->record_);
+      continue;
+    }
     const bool was_perceptible = a->perceptible();
 
     // App code may throw (the real framework survives crashing receivers);
@@ -360,7 +407,7 @@ void AlarmManager::deliver_batch(std::unique_ptr<Batch> batch) {
     // schedule — the crash must not take down the other batch members.
     TaskSpec task;
     try {
-      task = reg_it->second.handler(*a, now);
+      task = rec.handler(*a, now);
     } catch (const std::exception& e) {
       ++stats_.handler_failures;
       task = TaskSpec{};
@@ -371,7 +418,7 @@ void AlarmManager::deliver_batch(std::unique_ptr<Batch> batch) {
 
     // Stagger this task's wakelocks on each component's chain.
     Duration task_end = Duration::zero();
-    reg_it->second.pending_acquisitions += task.hardware.size();
+    rec.pending += task.hardware.size();
     for (const hw::Component c : task.hardware.components()) {
       const auto ci = static_cast<std::size_t>(c);
       const Duration start = chain_offset[ci];
@@ -383,7 +430,7 @@ void AlarmManager::deliver_batch(std::unique_ptr<Batch> batch) {
           now + start,
           [this, c, a, hold = task.hold] {
             const hw::WakelockId lock = wakelocks_.acquire(c, a->spec().tag);
-            acquisition_fired(a);
+            release_pending(a->record_);
             // try_release: a WakelockGuardian may have revoked the lock.
             sim_.schedule_after(hold,
                                 [this, lock] { wakelocks_.try_release(lock); },
@@ -418,22 +465,21 @@ void AlarmManager::deliver_batch(std::unique_ptr<Batch> batch) {
 
     // Reinsertion of repeating alarms (§2.1): static repeating stays on its
     // nominal grid; dynamic repeating is re-anchored at the delivery time.
-    switch (a->spec().mode) {
-      case RepeatMode::kOneShot:
-        unregister(reg_it);
-        break;
-      case RepeatMode::kStatic: {
-        TimePoint next = a->nominal() + a->spec().repeat_interval;
-        while (next < now) next += a->spec().repeat_interval;
-        a->reschedule(next);
-        insert(a);
-        break;
-      }
-      case RepeatMode::kDynamic:
-        a->reschedule(now + a->spec().repeat_interval);
-        insert(a);
-        break;
+    if (!rec.registered || rec.moved) {
+      // Its own handler cancelled the alarm (it stays gone) or re-set it
+      // (it keeps that time): nothing to reinsert.
+    } else if (a->spec().mode == RepeatMode::kOneShot) {
+      unregister(find_entry(a->id().value));
+    } else if (a->spec().mode == RepeatMode::kStatic) {
+      TimePoint next = a->nominal() + a->spec().repeat_interval;
+      while (next < now) next += a->spec().repeat_interval;
+      a->reschedule(next);
+      insert(a);
+    } else {
+      a->reschedule(now + a->spec().repeat_interval);
+      insert(a);
     }
+    release_pending(a->record_);
   }
 
   // Hold the CPU until every task completes, at least the handler floor.
@@ -498,7 +544,7 @@ std::vector<std::string> AlarmManager::check_invariants() const {
       }
       for (const Alarm* a : b.members()) {
         ++seen[a->id().value];
-        if (!registry_.contains(a->id().value)) {
+        if (find_entry(a->id().value) == registry_.end()) {
           issues.push_back("queued alarm not registered: " + a->spec().tag);
         }
         if (a->spec().kind != kind) {
@@ -538,7 +584,10 @@ void AlarmManager::on_device_wake(hw::WakeReason) {
 }
 
 void AlarmManager::save(snapshot::Writer& w) const {
-  SIMTY_CHECK_MSG(parked_.empty(),
+  SIMTY_CHECK_MSG(std::none_of(records_.begin(), records_.end(),
+                               [](const std::unique_ptr<Record>& r) {
+                                 return !r->registered && r->pending > 0;
+                               }),
                   "AlarmManager::save: wakelock acquisitions still pending");
   w.u64(next_id_);
   w.u64(last_seen_wakeups_);
@@ -548,7 +597,7 @@ void AlarmManager::save(snapshot::Writer& w) const {
   w.u64(stats_.realignments);
   w.u64(stats_.handler_failures);
   w.u64(registry_.size());
-  for (const auto& [id, reg] : registry_) reg.alarm->save(w);
+  for (const IdEntry& e : registry_) records_[e.record]->alarm.save(w);
   for (const AlarmKind kind : {AlarmKind::kWakeup, AlarmKind::kNonWakeup}) {
     const auto& q = queue(kind);
     w.u64(q.size());
@@ -565,9 +614,10 @@ void AlarmManager::restore(snapshot::SectionReader& s,
                            const HandlerResolver& resolver) {
   SIMTY_CHECK_MSG(static_cast<bool>(resolver),
                   "AlarmManager::restore: handler resolver required");
+  records_.clear();
+  free_records_.clear();
   registry_.clear();
   for (auto& q : queues_) q.clear();
-  parked_.clear();
   nonwakeup_check_.reset();
 
   next_id_ = s.u64();
@@ -589,11 +639,16 @@ void AlarmManager::restore(snapshot::SectionReader& s,
     DeliveryHandler handler = resolver(alarm->spec().app, alarm->spec().tag);
     SIMTY_CHECK_MSG(static_cast<bool>(handler),
                     "AlarmManager::restore: resolver has no handler for alarm");
-    const bool inserted =
-        registry_
-            .emplace(id, Registered{std::move(alarm), std::move(handler)})
-            .second;
-    SIMTY_CHECK_MSG(inserted, "AlarmManager::restore: duplicate alarm id");
+    const IdIter pos = lower_bound_id(id);
+    SIMTY_CHECK_MSG(pos == registry_.end() || pos->id != id,
+                    "AlarmManager::restore: duplicate alarm id");
+    const auto idx = static_cast<std::uint32_t>(records_.size());
+    registry_.insert(pos, IdEntry{id, idx});
+    records_.push_back(std::make_unique<Record>(std::move(*alarm)));
+    Record& rec = *records_.back();
+    rec.alarm.record_ = idx;
+    rec.handler = std::move(handler);
+    rec.registered = true;
   }
 
   std::map<std::uint64_t, int> queued;
@@ -608,10 +663,10 @@ void AlarmManager::restore(snapshot::SectionReader& s,
       std::unique_ptr<Batch> batch;
       for (std::uint64_t m = 0; m < member_count; ++m) {
         const std::uint64_t id = s.u64();
-        const auto it = registry_.find(id);
+        const auto it = find_entry(id);
         SIMTY_CHECK_MSG(it != registry_.end(),
                         "AlarmManager::restore: queued alarm not registered");
-        Alarm* a = it->second.alarm.get();
+        Alarm* a = &records_[it->record]->alarm;
         SIMTY_CHECK_MSG(a->spec().kind == kind,
                         "AlarmManager::restore: alarm in wrong-kind queue");
         SIMTY_CHECK_MSG(queued[id]++ == 0,
@@ -655,8 +710,8 @@ std::function<void()> AlarmManager::rtc_handler() {
 
 void AlarmManager::apply_grace_factor(double beta) {
   SIMTY_CHECK_MSG(beta >= 0.0 && beta < 1.0, "grace factor must lie in [0, 1)");
-  for (auto& entry : registry_) {
-    Alarm& a = *entry.second.alarm;
+  for (const IdEntry& e : registry_) {
+    Alarm& a = records_[e.record]->alarm;
     if (a.spec().mode == RepeatMode::kOneShot) continue;
     const Duration grace =
         std::max(a.spec().repeat_interval * beta, a.spec().window_length);

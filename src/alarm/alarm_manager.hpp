@@ -13,7 +13,6 @@
 // alarm joins.
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -42,6 +41,10 @@ struct TaskSpec {
 };
 
 /// App-side behaviour invoked at delivery; returns the task to execute.
+/// It may cancel() or set() its own alarm: a cancel ends the alarm after
+/// this delivery, and a set time replaces the automatic reinsertion. A
+/// later member of the same batch that it cancels or sets is not delivered
+/// with this batch.
 using DeliveryHandler = std::function<TaskSpec(const Alarm&, TimePoint delivered_at)>;
 
 /// Everything observers need to compute the paper's metrics for one
@@ -160,7 +163,7 @@ class AlarmManager {
 
   /// Enables the stable_sort order-equivalence check (see sort_queue)
   /// after every insert. O(n log n) per insert — tests only. Defaults to on
-  /// when built with -DSIMTY_SLOW_CHECKS.
+  /// when configured with -DCMAKE_CXX_FLAGS=-DSIMTY_SLOW_CHECKS.
   void set_slow_queue_checks(bool enabled) { slow_queue_checks_ = enabled; }
 
   /// Maps a registered alarm back to its delivery handler on restore.
@@ -202,17 +205,34 @@ class AlarmManager {
   std::vector<std::string> check_invariants() const;
 
  private:
-  struct Registered {
-    std::unique_ptr<Alarm> alarm;
+  /// One registration: the alarm, its handler and its pending staggered
+  /// acquisitions. Records are heap-stable (a handler runs in place while
+  /// it registers more alarms) and recycled whole, so a warm registration
+  /// allocates nothing. An Alarm names its record (Alarm::record_): delivery
+  /// and acquisitions reach it in O(1), without an id lookup.
+  struct Record {
+    explicit Record(Alarm a) : alarm(std::move(a)) {}
+
+    Alarm alarm;
     DeliveryHandler handler;
-    std::size_t pending_acquisitions = 0;  // see acquisition_fired
+    /// Staggered acquisitions still to fire, plus one while the alarm's
+    /// batch is being delivered (see deliver_batch).
+    std::size_t pending = 0;
+    /// False once cancelled or delivered as a one-shot. The record is then
+    /// parked until `pending` drains, and free after that.
+    bool registered = false;
+    /// Set by set(), cleared when the alarm's batch starts delivering: a
+    /// handler moved the alarm during that delivery.
+    bool moved = false;
   };
 
-  /// An unregistered alarm kept alive for its pending acquisitions.
-  struct Parked {
-    std::unique_ptr<Alarm> alarm;
-    std::size_t pending_acquisitions = 0;
+  /// The id index: (id, record) pairs in ascending id order. New ids are
+  /// always the largest, so registration appends.
+  struct IdEntry {
+    std::uint64_t id;
+    std::uint32_t record;
   };
+  using IdIter = std::vector<IdEntry>::const_iterator;
 
   std::vector<std::unique_ptr<Batch>>& queue_ref(AlarmKind kind);
 
@@ -248,13 +268,23 @@ class AlarmManager {
   /// Clears an entry that left the queue and keeps it for make_batch.
   void recycle(std::unique_ptr<Batch> batch);
 
+  /// Takes a free record (recycled when possible) for a new registration
+  /// of `alarm`, indexed under its id.
+  Alarm* adopt(Alarm alarm, DeliveryHandler handler);
+
+  /// The first id index entry not below `id`.
+  IdIter lower_bound_id(std::uint64_t id) const;
+  /// The id index entry for `id`, or end().
+  IdIter find_entry(std::uint64_t id) const;
+
+
   /// Staggered wakelock acquisitions read the delivered alarm's tag when
   /// they fire, which may be after the alarm is unregistered (a delivered
-  /// one-shot, or a cancel). Each registration counts its pending ones;
-  /// unregister parks an alarm that still has some instead of destroying
-  /// it, and acquisition_fired frees a parked alarm after the last one.
-  void acquisition_fired(const Alarm* a);
-  void unregister(std::map<std::uint64_t, Registered>::iterator it);
+  /// one-shot, or a cancel). Each record counts its pending ones;
+  /// unregister parks a record that still has some instead of freeing it,
+  /// and release_pending frees a parked record after the last one.
+  void release_pending(std::uint32_t record);
+  void unregister(IdIter entry);
 
   sim::Simulator& sim_;
   hw::Device& device_;
@@ -262,7 +292,9 @@ class AlarmManager {
   hw::WakelockManager& wakelocks_;
   std::unique_ptr<AlignmentPolicy> policy_;
 
-  std::map<std::uint64_t, Registered> registry_;
+  std::vector<std::unique_ptr<Record>> records_;
+  std::vector<std::uint32_t> free_records_;
+  std::vector<IdEntry> registry_;
   std::vector<std::unique_ptr<Batch>> queues_[2];
   std::vector<DeliveryObserver> observers_;
   std::vector<SessionObserver> session_observers_;
@@ -270,7 +302,6 @@ class AlarmManager {
   DeliveryRecord record_;
   SessionRecord session_;
   std::vector<std::unique_ptr<Batch>> spare_batches_;
-  std::vector<Parked> parked_;
   DeliveryGate delivery_gate_;
   std::optional<sim::EventId> nonwakeup_check_;
   Stats stats_;

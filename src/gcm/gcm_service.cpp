@@ -38,28 +38,51 @@ void GcmService::subscribe(std::string topic, PushHandler handler) {
 }
 
 void GcmService::on_incoming(PushMessage message) {
-  device_.request_awake(hw::WakeReason::kExternalPush, [this, message] {
-    const auto it = handlers_.find(message.topic);
-    if (it == handlers_.end()) {
-      ++dropped_;
-      return;
-    }
-    // Fetch session: CPU held for the payload transfer, radio wakelocked.
-    const Duration fetch = link_ != nullptr
-                               ? link_->transfer_time(message.payload_bytes)
-                               : config_.default_fetch_hold;
-    device_.acquire_cpu_lock();
-    const hw::WakelockId lock = wakelocks_.acquire(hw::Component::kWifi, "gcm.fetch");
-    sim_.schedule_after(
-        fetch,
-        [this, lock, message, handler = &it->second] {
-          wakelocks_.try_release(lock);  // a guardian may have revoked it
-          ++delivered_;
-          (*handler)(message);
-          device_.release_cpu_lock();
-        },
-        sim::EventPriority::kFramework, "gcm-fetch-complete");
-  });
+  std::uint32_t slot;
+  if (free_in_flight_.empty()) {
+    slot = static_cast<std::uint32_t>(in_flight_.size());
+    in_flight_.emplace_back();
+  } else {
+    slot = free_in_flight_.back();
+    free_in_flight_.pop_back();
+  }
+  in_flight_[slot] = InFlight{std::move(message), {}, nullptr};
+  device_.request_awake(hw::WakeReason::kExternalPush,
+                        [this, slot] { start_fetch(slot); });
+}
+
+void GcmService::start_fetch(std::uint32_t slot) {
+  InFlight& f = in_flight_[slot];
+  const auto it = handlers_.find(f.message.topic);
+  if (it == handlers_.end()) {
+    ++dropped_;
+    retire(slot);
+    return;
+  }
+  // Fetch session: CPU held for the payload transfer, radio wakelocked.
+  const Duration fetch = link_ != nullptr
+                             ? link_->transfer_time(f.message.payload_bytes)
+                             : config_.default_fetch_hold;
+  device_.acquire_cpu_lock();
+  f.lock = wakelocks_.acquire(hw::Component::kWifi, "gcm.fetch");
+  f.handler = &it->second;
+  sim_.schedule_after(fetch, [this, slot] { complete_fetch(slot); },
+                      sim::EventPriority::kFramework, "gcm-fetch-complete");
+}
+
+void GcmService::complete_fetch(std::uint32_t slot) {
+  // Retired first: the handler may push another message into the slot.
+  const InFlight f = retire(slot);
+  wakelocks_.try_release(f.lock);  // a guardian may have revoked it
+  ++delivered_;
+  (*f.handler)(f.message);
+  device_.release_cpu_lock();
+}
+
+GcmService::InFlight GcmService::retire(std::uint32_t slot) {
+  InFlight f = std::move(in_flight_[slot]);
+  free_in_flight_.push_back(slot);
+  return f;
 }
 
 PushServer::PushServer(sim::Simulator& sim, GcmService& service,

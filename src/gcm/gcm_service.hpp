@@ -15,6 +15,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "alarm/alarm_manager.hpp"
 #include "hw/device.hpp"
@@ -78,6 +79,22 @@ class GcmService {
   std::optional<alarm::AlarmId> heartbeat_alarm() const { return heartbeat_id_; }
 
  private:
+  /// A message between its arrival and its handler. The wake and fetch
+  /// callbacks capture its index, not a copy of the message, which keeps
+  /// them within EventFn's inline storage.
+  struct InFlight {
+    PushMessage message;
+    hw::WakelockId lock;
+    const PushHandler* handler = nullptr;
+  };
+
+  /// Device awake: look up the topic and start the payload fetch.
+  void start_fetch(std::uint32_t slot);
+  /// Fetch done: release the radio and hand the message to its handler.
+  void complete_fetch(std::uint32_t slot);
+  /// Takes the message out of `slot` and returns the slot for reuse.
+  InFlight retire(std::uint32_t slot);
+
   sim::Simulator& sim_;
   hw::Device& device_;
   hw::WakelockManager& wakelocks_;
@@ -86,6 +103,8 @@ class GcmService {
   const net::WifiLink* link_;
 
   std::map<std::string, PushHandler> handlers_;
+  std::vector<InFlight> in_flight_;
+  std::vector<std::uint32_t> free_in_flight_;
   std::optional<alarm::AlarmId> heartbeat_id_;
   std::uint64_t heartbeats_ = 0;
   std::uint64_t delivered_ = 0;

@@ -10,18 +10,6 @@ namespace simty::serve {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-std::uint64_t fnv1a64(std::string_view s) {
-  std::uint64_t h = kFnvOffset;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
 exp::ExperimentConfig to_config(const Request& req) {
   exp::ExperimentConfig c;
   c.policy = req.policy;
@@ -195,16 +183,10 @@ ServeStats decode_stats(const std::string& bytes) {
   return stats;
 }
 
-std::uint64_t config_hash(const Request& req) {
-  Request canonical = req;
-  canonical.seed = 0;
-  return fnv1a64(encode_request(canonical));
-}
-
-std::uint64_t prefix_hash(const Request& req) {
+std::string prefix_key(const Request& req) {
   Request canonical = req;
   if (canonical.beta_switch) canonical.beta_switch->beta = 0.0;
-  return fnv1a64(encode_request(canonical));
+  return encode_request(canonical);
 }
 
 ServeCore::ServeCore(std::size_t max_snapshots)
@@ -212,20 +194,22 @@ ServeCore::ServeCore(std::size_t max_snapshots)
   SIMTY_CHECK_MSG(max_snapshots_ > 0, "serve: snapshot store needs capacity");
 }
 
-const std::string* ServeCore::store_lookup(std::uint64_t key) {
+const std::string* ServeCore::store_lookup(const std::string& key) {
   const auto it = snapshots_.find(key);
   if (it == snapshots_.end()) return nullptr;
   recency_.splice(recency_.begin(), recency_, it->second.recency);
   return &it->second.bytes;
 }
 
-void ServeCore::store_insert(std::uint64_t key, std::string bytes) {
-  if (snapshots_.count(key) != 0) return;  // racing sweep points: keep first
-  recency_.push_front(key);
-  snapshots_.emplace(key, StoredSnapshot{std::move(bytes), recency_.begin()});
+void ServeCore::store_insert(std::string key, std::string bytes) {
+  const auto [it, inserted] =
+      snapshots_.try_emplace(std::move(key), StoredSnapshot{std::move(bytes), {}});
+  if (!inserted) return;  // racing sweep points: keep first
+  recency_.push_front(&it->first);
+  it->second.recency = recency_.begin();
   ++stats_.snapshots_stored;
   while (snapshots_.size() > max_snapshots_) {
-    snapshots_.erase(recency_.back());
+    snapshots_.erase(*recency_.back());
     recency_.pop_back();
     ++stats_.snapshots_evicted;
   }
@@ -238,7 +222,7 @@ Response ServeCore::run_request(const Request& req) {
   const bool warm_eligible =
       req.beta_switch && req.beta_switch->at > kPrefixMargin;
   if (warm_eligible) {
-    const std::uint64_t key = prefix_hash(req);
+    std::string key = prefix_key(req);
     if (const std::string* prefix = store_lookup(key)) {
       ++stats_.prefix_hits;
       exp::Run run(config);
@@ -255,7 +239,7 @@ Response ServeCore::run_request(const Request& req) {
     // Only park the snapshot if quiescence stepping stayed strictly before
     // the switch — past it the prefix would have baked in this point's β.
     if (run.now() < TimePoint::origin() + req.beta_switch->at) {
-      store_insert(key, run.save_snapshot());
+      store_insert(std::move(key), run.save_snapshot());
     }
     return to_response(run.finish());
   }
@@ -264,7 +248,7 @@ Response ServeCore::run_request(const Request& req) {
 
 Response ServeCore::handle(const Request& req) {
   ++stats_.requests;
-  const auto key = std::make_pair(config_hash(req), req.seed);
+  std::string key = encode_request(req);
   const auto it = results_.find(key);
   if (it != results_.end()) {
     ++stats_.result_hits;
@@ -274,7 +258,7 @@ Response ServeCore::handle(const Request& req) {
   }
   ++stats_.result_misses;
   const Response resp = run_request(req);
-  results_.emplace(key, resp);
+  results_.emplace(std::move(key), resp);
   return resp;
 }
 

@@ -3,19 +3,20 @@
 //
 // ServeCore is the transport-free brain of the simty_serve daemon: it
 // decodes request frames, answers repeated identical requests from a
-// result cache keyed by (config hash, seed), and accelerates β-sweeps by
-// snapshotting the standby prefix the sweep points share. The wire codec
-// is the snapshot container itself (snapshot/snapshot.hpp) — one hardened,
-// bounds-checked decoder for run state, checkpoints, and the protocol, so
-// a hostile frame hits the same SIMTY_CHECK rejection paths the fuzz tests
-// cover.
+// result cache keyed by the canonical request encoding, and accelerates
+// β-sweeps by snapshotting the standby prefix the sweep points share. The
+// wire codec is the snapshot container itself (snapshot/snapshot.hpp) —
+// one hardened, bounds-checked decoder for run state, checkpoints, and the
+// protocol, so a hostile frame hits the same SIMTY_CHECK rejection paths
+// the fuzz tests cover.
 //
 // The warm-start lever (see exp/run.hpp): requests that differ only in
 // beta_switch.beta share a byte-identical run prefix up to the switch
 // instant, because β lives in the switch event's closure and never in the
 // serialized state. The first sweep point pays for the prefix and parks a
-// snapshot in an LRU store keyed by the β-blind config hash; every other
-// point restores it and simulates only the post-switch tail.
+// snapshot in an LRU store keyed by the β-blind request encoding; every
+// other point restores it and simulates only the post-switch tail. Both
+// caches compare whole keys, so distinct requests never share an entry.
 
 #include <cstdint>
 #include <list>
@@ -32,8 +33,8 @@ namespace simty::serve {
 inline constexpr std::uint32_t kProtocolVersion = 1;
 
 /// The subset of ExperimentConfig a sweep client can pose. Kept small on
-/// purpose: every field participates in the config hash, so adding one is
-/// a cache-compatibility change.
+/// purpose: every field is part of the cache keys, so adding one is a
+/// cache-compatibility change.
 struct Request {
   exp::PolicyKind policy = exp::PolicyKind::kSimty;
   exp::WorkloadKind workload = exp::WorkloadKind::kLight;
@@ -88,15 +89,11 @@ std::string encode_stats_request();
 std::string encode_stats(const ServeStats& stats);
 ServeStats decode_stats(const std::string& bytes);
 
-/// FNV-1a over the canonical request encoding with the seed zeroed —
-/// requests differing only in seed share one config hash (the result cache
-/// key is the (hash, seed) pair).
-std::uint64_t config_hash(const Request& req);
-
-/// Same, but additionally β-blind: beta_switch.beta is zeroed, so sweep
-/// points share the hash that keys their common-prefix snapshot. Unlike
-/// config_hash this one keeps the seed — a prefix is seed-specific.
-std::uint64_t prefix_hash(const Request& req);
+/// The key of the prefix store: the canonical request encoding with
+/// beta_switch.beta zeroed, so the points of one sweep share it. The seed
+/// stays in — a prefix is seed-specific. (The result cache is keyed on the
+/// full encoding, encode_request.)
+std::string prefix_key(const Request& req);
 
 /// Transport-free server core. Single-threaded, like the stack it runs.
 class ServeCore {
@@ -122,20 +119,20 @@ class ServeCore {
   static constexpr Duration kPrefixMargin = Duration::minutes(1);
 
   Response run_request(const Request& req);
-  const std::string* store_lookup(std::uint64_t key);
-  void store_insert(std::uint64_t key, std::string bytes);
+  const std::string* store_lookup(const std::string& key);
+  void store_insert(std::string key, std::string bytes);
 
   std::size_t max_snapshots_;
   ServeStats stats_;
-  std::map<std::pair<std::uint64_t, std::uint64_t>, Response> results_;
-  // LRU prefix store: recency list front = most recent; map values point
-  // into the list.
+  std::map<std::string, Response> results_;  // keyed by encode_request
+  // LRU prefix store: recency list front = most recent; it points at the
+  // map's keys (map nodes never move), and map values point into the list.
   struct StoredSnapshot {
     std::string bytes;
-    std::list<std::uint64_t>::iterator recency;
+    std::list<const std::string*>::iterator recency;
   };
-  std::list<std::uint64_t> recency_;
-  std::map<std::uint64_t, StoredSnapshot> snapshots_;
+  std::list<const std::string*> recency_;
+  std::map<std::string, StoredSnapshot> snapshots_;
 };
 
 }  // namespace simty::serve

@@ -6,9 +6,11 @@
 // buffer, and a callable that does not fit is a compile error rather than a
 // silent heap fallback. The simulator schedules millions of events per
 // experiment; with EventFn a schedule() performs zero allocations, and the
-// static_assert in the converting constructor is the proof that this holds
-// for every in-tree caller (shrink the capture — e.g. capture a pointer —
-// or raise kInlineBytes if it ever fires).
+// static_assert in construct() is the proof that this holds for every
+// in-tree caller. If it fires, shrink the capture: capture a pointer, or
+// park the bulky state in storage the owner keeps and capture a handle to
+// it (GcmService's in-flight fetches are the in-tree example). The limit is
+// what keeps an event-queue slot in one cache line; do not raise it.
 
 #include <cstddef>
 #include <cstdint>
@@ -22,26 +24,17 @@ namespace simty::sim {
 /// Move-only callable with fixed inline storage and no heap fallback.
 class EventFn {
  public:
-  /// Sized for the largest in-tree capture (the GCM fetch completion:
-  /// this + lock + PushMessage + handler pointer) with headroom.
-  static constexpr std::size_t kInlineBytes = 112;
+  /// Every in-tree capture is a few pointers and scalars (at most 40
+  /// bytes); with the ops pointer an EventFn is 48 bytes, which leaves an
+  /// event-queue slot room for its label and links in 64.
+  static constexpr std::size_t kInlineBytes = 40;
 
   EventFn() = default;
 
   template <typename F,
             typename = std::enable_if_t<!std::is_same_v<std::decay_t<F>, EventFn>>>
   EventFn(F&& f) {  // NOLINT(google-explicit-constructor): mirrors std::function
-    using Fn = std::decay_t<F>;
-    static_assert(std::is_invocable_r_v<void, Fn&>, "EventFn requires a void() callable");
-    static_assert(sizeof(Fn) <= kInlineBytes,
-                  "callback capture too large for EventFn inline storage — "
-                  "capture a pointer instead, or raise EventFn::kInlineBytes");
-    static_assert(alignof(Fn) <= alignof(std::max_align_t),
-                  "callback over-aligned for EventFn inline storage");
-    static_assert(std::is_nothrow_move_constructible_v<Fn>,
-                  "EventFn callables must be nothrow-move-constructible");
-    ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
-    ops_ = ops_for<Fn>();
+    construct(std::forward<F>(f));
   }
 
   EventFn(EventFn&& other) noexcept { move_from(other); }
@@ -57,6 +50,20 @@ class EventFn {
   EventFn& operator=(const EventFn&) = delete;
 
   ~EventFn() { reset(); }
+
+  /// Replaces the stored callable with `f`, constructed directly in the
+  /// inline buffer: a callable is never built elsewhere and moved in. An
+  /// EventFn argument is relocated instead.
+  template <typename F>
+  void emplace(F&& f) {
+    reset();
+    if constexpr (std::is_same_v<std::decay_t<F>, EventFn>) {
+      static_assert(!std::is_lvalue_reference_v<F>, "emplace an EventFn by rvalue");
+      move_from(f);
+    } else {
+      construct(std::forward<F>(f));
+    }
+  }
 
   explicit operator bool() const { return ops_ != nullptr; }
 
@@ -74,14 +81,13 @@ class EventFn {
  private:
   struct Ops {
     void (*invoke)(void* self);
-    /// move-construct into dst + destroy src; null when a memcpy of `size`
-    /// bytes is equivalent (trivially copyable + trivially destructible —
-    /// nearly every in-tree capture, a pointer or two). The event-queue
-    /// slab moves callbacks on every schedule and pop; the null check is a
-    /// predicted branch, the indirect call it replaces is not free.
+    /// move-construct into dst + destroy src; null when copying the whole
+    /// buffer is equivalent (trivially copyable + trivially destructible —
+    /// nearly every in-tree capture, a pointer or two). That copy has a
+    /// constant size, so it compiles to a few inline moves; the null check
+    /// is a predicted branch, the indirect call it replaces is not free.
     void (*relocate)(void* src, void* dst) noexcept;
     void (*destroy)(void* self) noexcept;  // null when trivially destructible
-    std::uint32_t size;                    // sizeof the stored callable
   };
 
   template <typename Fn>
@@ -99,16 +105,30 @@ class EventFn {
         std::is_trivially_destructible_v<Fn>
             ? nullptr
             : +[](void* self) noexcept { static_cast<Fn*>(self)->~Fn(); },
-        static_cast<std::uint32_t>(sizeof(Fn)),
     };
     return &ops;
+  }
+
+  template <typename F>
+  void construct(F&& f) {
+    using Fn = std::decay_t<F>;
+    static_assert(std::is_invocable_r_v<void, Fn&>, "EventFn requires a void() callable");
+    static_assert(sizeof(Fn) <= kInlineBytes,
+                  "callback capture too large for EventFn inline storage — "
+                  "capture a pointer or a handle into owner-kept storage");
+    static_assert(alignof(Fn) <= alignof(void*),
+                  "callback over-aligned for EventFn inline storage");
+    static_assert(std::is_nothrow_move_constructible_v<Fn>,
+                  "EventFn callables must be nothrow-move-constructible");
+    ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
+    ops_ = ops_for<Fn>();
   }
 
   void move_from(EventFn& other) noexcept {
     ops_ = other.ops_;
     if (ops_ != nullptr) {
       if (ops_->relocate == nullptr) {
-        std::memcpy(storage_, other.storage_, ops_->size);
+        std::memcpy(storage_, other.storage_, kInlineBytes);
       } else {
         ops_->relocate(other.storage_, storage_);
       }
@@ -117,10 +137,12 @@ class EventFn {
   }
 
   // ops_ sits in front of the storage so the emptiness check and a small
-  // capture share one cache line (the event-queue slab walks these at
-  // 128-byte stride; most captures are a pointer or two).
+  // capture share one cache line with the rest of an event-queue slot.
   const Ops* ops_ = nullptr;
-  alignas(std::max_align_t) std::byte storage_[kInlineBytes];
+  alignas(void*) std::byte storage_[kInlineBytes];
 };
+
+static_assert(sizeof(EventFn) == 48,
+              "EventFn must stay 48 bytes (it shares a 64-byte queue slot)");
 
 }  // namespace simty::sim

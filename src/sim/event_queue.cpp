@@ -68,31 +68,16 @@ EventQueue::EventQueue() : EventQueue(nullptr) {}
 
 EventQueue::EventQueue(common::Arena* arena) : heap_(arena), slab_(arena) {}
 
-EventId EventQueue::schedule(TimePoint when, EventPriority priority, EventFn cb,
-                             const char* label) {
-  SIMTY_CHECK_MSG(static_cast<bool>(cb), "EventQueue::schedule: empty callback");
-  const std::uint64_t seq = next_seq_++;
-  SIMTY_CHECK_MSG(seq < kSeqLimit, "EventQueue: sequence space exhausted");
-  const std::uint32_t idx = acquire_slot();
-  Slot& s = slab_[idx];
-  s.callback = std::move(cb);
-  s.label = label != nullptr ? label : "";
-  s.armed = true;
-  heap_push(Node{when.us(), (static_cast<std::uint64_t>(priority) << 60) | seq, idx});
-  ++live_;
-  return EventId{(static_cast<std::uint64_t>(s.generation) << 32) | idx};
-}
-
 bool EventQueue::cancel(EventId id) {
   const auto idx = static_cast<std::uint32_t>(id.value & 0xffffffffu);
   const auto gen = static_cast<std::uint32_t>(id.value >> 32);
   if (idx >= slab_.size()) return false;
   Slot& s = slab_[idx];
-  if (!s.armed || s.generation != gen) return false;
+  if (!s.armed() || s.generation != gen) return false;
   // Lazy cancellation: tombstone the slot; the heap node is recycled when
   // it surfaces at the root. Drop the callback now so captured resources
   // are released at cancel time, not at some later pop.
-  s.armed = false;
+  s.next_free = kNilSlot;
   s.callback.reset();
   --live_;
   prune_root();
@@ -118,14 +103,8 @@ EventQueue::Fired EventQueue::pop() {
   return fired;
 }
 
-std::uint32_t EventQueue::acquire_slot() {
-  if (free_head_ != kNilSlot) {
-    const std::uint32_t idx = free_head_;
-    free_head_ = slab_[idx].next_free;
-    slab_[idx].next_free = kNilSlot;
-    return idx;
-  }
-  SIMTY_CHECK_MSG(slab_.size() < kNilSlot, "EventQueue: slab index space exhausted");
+std::uint32_t EventQueue::grow_slab() {
+  SIMTY_CHECK_MSG(slab_.size() < kArmed, "EventQueue: slab index space exhausted");
   slab_.emplace_back();
   return static_cast<std::uint32_t>(slab_.size() - 1);
 }
@@ -133,7 +112,6 @@ std::uint32_t EventQueue::acquire_slot() {
 void EventQueue::release_slot(std::uint32_t idx) {
   Slot& s = slab_[idx];
   s.callback.reset();
-  s.armed = false;
   s.label = "";
   // Invalidate every outstanding EventId naming this slot before it is
   // recycled (cancel-after-fire must return false, not hit the new tenant).
@@ -142,17 +120,21 @@ void EventQueue::release_slot(std::uint32_t idx) {
   free_head_ = idx;
 }
 
-void EventQueue::heap_push(Node node) {
-  // Hole-based sift-up: shift losing parents down, write the node once.
-  heap_.push_back(node);
-  std::size_t i = heap_.size() - 1;
+void EventQueue::heap_push(std::int64_t when_us, std::uint64_t order,
+                           std::uint32_t slot) {
+  // Shift losing parents down into the hole opened at the tail. The key
+  // stays in registers: comparing against a node written to memory just
+  // before would reload it through a pending store.
+  std::size_t i = heap_.size();
+  heap_.emplace_back();
   while (i > 0) {
     const std::size_t parent = (i - 1) / 4;
-    if (!node_less(node, heap_[parent])) break;
-    heap_[i] = heap_[parent];
+    const Node& p = heap_[parent];
+    if (when_us > p.when_us || (when_us == p.when_us && order > p.order)) break;
+    heap_[i] = p;
     i = parent;
   }
-  heap_[i] = node;
+  heap_[i] = Node{when_us, order, slot};
 }
 
 void EventQueue::heap_pop_root() {
@@ -178,7 +160,7 @@ void EventQueue::heap_pop_root() {
 }
 
 void EventQueue::prune_root() {
-  while (!heap_.empty() && !slab_[heap_[0].slot].armed) {
+  while (!heap_.empty() && !slab_[heap_[0].slot].armed()) {
     release_slot(heap_[0].slot);
     heap_pop_root();
   }
@@ -197,8 +179,8 @@ void EventQueue::save(snapshot::Writer& w) const {
   for (const Slot& s : slab_) {
     w.str(s.label);
     w.u32(s.generation);
-    w.u32(s.next_free);
-    w.boolean(s.armed);
+    w.u32(s.link());
+    w.boolean(s.armed());
   }
   w.u32(free_head_);
   w.u64(next_seq_);
@@ -228,10 +210,13 @@ void EventQueue::restore(snapshot::SectionReader& s) {
     const std::string label = s.str();  // simty-lint: allow(string-label)
     slot.label = label.empty() ? "" : intern_label(label);
     slot.generation = s.u32();
-    slot.next_free = s.u32();
-    slot.armed = s.boolean();
-    SIMTY_CHECK_MSG(slot.next_free == kNilSlot || slot.next_free < slots,
+    const std::uint32_t link = s.u32();
+    const bool armed = s.boolean();
+    SIMTY_CHECK_MSG(link == kNilSlot || link < slots,
                     "EventQueue::restore: free-list link out of range");
+    SIMTY_CHECK_MSG(!armed || link == kNilSlot,
+                    "EventQueue::restore: armed slot carries a free-list link");
+    slot.next_free = armed ? kArmed : link;
   }
   free_head_ = s.u32();
   SIMTY_CHECK_MSG(free_head_ == kNilSlot || free_head_ < slots,
@@ -247,7 +232,7 @@ void EventQueue::restore(snapshot::SectionReader& s) {
   enum : std::uint8_t { kUnseen, kFree, kInHeap };
   common::ArenaVector<std::uint8_t> seen;
   seen.resize(static_cast<std::size_t>(slots));  // all kUnseen
-  for (std::uint32_t f = free_head_; f != kNilSlot; f = slab_[f].next_free) {
+  for (std::uint32_t f = free_head_; f != kNilSlot; f = slab_[f].link()) {
     SIMTY_CHECK_MSG(seen[f] == kUnseen, "EventQueue::restore: free-list cycle");
     seen[f] = kFree;
   }
@@ -263,13 +248,13 @@ void EventQueue::restore(snapshot::SectionReader& s) {
   }
   std::size_t armed_count = 0;
   for (std::size_t i = 0; i < slab_.size(); ++i) {
-    if (!slab_[i].armed) continue;
+    if (!slab_[i].armed()) continue;
     SIMTY_CHECK_MSG(seen[i] == kInHeap, "EventQueue::restore: armed slot has no heap node");
     ++armed_count;
   }
   SIMTY_CHECK_MSG(armed_count == live_,
                   "EventQueue::restore: live count does not match armed slots");
-  SIMTY_CHECK_MSG(heap_.empty() || slab_[heap_[0].slot].armed,
+  SIMTY_CHECK_MSG(heap_.empty() || slab_[heap_[0].slot].armed(),
                   "EventQueue::restore: heap root is a tombstone");
 }
 
@@ -277,15 +262,16 @@ void EventQueue::rebind(EventId id, EventFn cb) {
   SIMTY_CHECK_MSG(static_cast<bool>(cb), "EventQueue::rebind: empty callback");
   const auto idx = static_cast<std::uint32_t>(id.value & 0xffffffffu);
   const auto gen = static_cast<std::uint32_t>(id.value >> 32);
-  SIMTY_CHECK_MSG(idx < slab_.size() && slab_[idx].armed && slab_[idx].generation == gen,
-                  "EventQueue::rebind: id does not name a restored live event");
+  SIMTY_CHECK_MSG(
+      idx < slab_.size() && slab_[idx].armed() && slab_[idx].generation == gen,
+      "EventQueue::rebind: id does not name a restored live event");
   SIMTY_CHECK_MSG(!slab_[idx].callback, "EventQueue::rebind: event already bound");
-  slab_[idx].callback = std::move(cb);
+  slab_[idx].callback.emplace(std::move(cb));
 }
 
 bool EventQueue::fully_bound() const {
   for (const Slot& s : slab_) {
-    if (s.armed && !s.callback) return false;
+    if (s.armed() && !s.callback) return false;
   }
   return true;
 }

@@ -22,8 +22,11 @@
 
 #include <cstdint>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 
 #include "common/arena.hpp"
+#include "common/check.hpp"
 #include "common/time.hpp"
 #include "sim/event_fn.hpp"
 
@@ -71,9 +74,25 @@ class EventQueue {
   EventQueue& operator=(const EventQueue&) = delete;
 
   /// Schedules `cb` at `when`; `label` must outlive the event (pass a
-  /// string literal, or intern_label() for a computed one).
-  EventId schedule(TimePoint when, EventPriority priority, EventFn cb,
-                   const char* label = "");
+  /// string literal, or intern_label() for a computed one). The callable is
+  /// constructed directly in its slot, so scheduling copies no callback. A
+  /// callable whose construction may throw (an lvalue with an owning
+  /// capture) is built first, so a throw leaves the queue untouched. An
+  /// empty EventFn is rejected before any slot or sequence number is taken.
+  template <typename F>
+  EventId schedule(TimePoint when, EventPriority priority, F&& cb,
+                   const char* label = "") {
+    if constexpr (!std::is_nothrow_constructible_v<std::decay_t<F>, F&&>) {
+      return schedule(when, priority, EventFn(std::forward<F>(cb)), label);
+    } else {
+      if constexpr (std::is_same_v<std::decay_t<F>, EventFn>) {
+        SIMTY_CHECK_MSG(static_cast<bool>(cb), "EventQueue::schedule: empty callback");
+      }
+      const std::uint32_t idx = acquire_slot();
+      slab_[idx].callback.emplace(std::forward<F>(cb));
+      return arm(idx, when, priority, label);
+    }
+  }
 
   /// Cancels a pending event. Returns false if it already fired/was
   /// cancelled.
@@ -88,7 +107,9 @@ class EventQueue {
   TimePoint next_time() const;
 
   /// Removes and returns the earliest event's callback and metadata. The
-  /// callback is moved out of the queue, never copied.
+  /// callback is relocated out of its slot once (a fixed-size copy for a
+  /// trivially relocatable capture); a callback may schedule events that
+  /// grow the slab, so it cannot run in place.
   struct Fired {
     TimePoint when;
     EventFn callback;
@@ -125,6 +146,9 @@ class EventQueue {
 
  private:
   static constexpr std::uint32_t kNilSlot = 0xffffffffu;
+  /// next_free of a live event's slot; never a slot index (the slab stays
+  /// below it).
+  static constexpr std::uint32_t kArmed = 0xfffffffeu;
   /// The sequence number shares the order word with the priority, which
   /// takes the top 4 bits.
   static constexpr std::uint64_t kSeqLimit = 1ull << 60;
@@ -135,22 +159,52 @@ class EventQueue {
     std::uint32_t slot;
   };
 
+  /// One cache line. A slot is free (on the free list; next_free is the
+  /// link, kNilSlot at the tail), armed (a live event; next_free ==
+  /// kArmed), or a tombstone awaiting root pruning (off the free list;
+  /// next_free == kNilSlot).
   struct Slot {
     EventFn callback;
     const char* label = "";
     std::uint32_t generation = 1;  // bumped on release; 0 is never live
     std::uint32_t next_free = kNilSlot;
-    bool armed = false;  // false = free, or a tombstone awaiting root pruning
+
+    bool armed() const { return next_free == kArmed; }
+    /// The free-list link as saved: an armed slot has none.
+    std::uint32_t link() const { return armed() ? kNilSlot : next_free; }
   };
+  static_assert(sizeof(Slot) == 64, "an event-queue slot must fill one cache line");
 
   static bool node_less(const Node& a, const Node& b) {
     if (a.when_us != b.when_us) return a.when_us < b.when_us;
     return a.order < b.order;
   }
 
-  std::uint32_t acquire_slot();
+  /// A free slot for a new event (recycled when possible); checks the
+  /// sequence space first, so a failure takes nothing.
+  std::uint32_t acquire_slot() {
+    SIMTY_CHECK_MSG(next_seq_ < kSeqLimit, "EventQueue: sequence space exhausted");
+    if (free_head_ == kNilSlot) return grow_slab();
+    const std::uint32_t idx = free_head_;
+    free_head_ = slab_[idx].next_free;
+    return idx;
+  }
+  /// Appends a fresh slot to the slab.
+  std::uint32_t grow_slab();
+  /// Labels and arms slot `idx` (its callback already built) and pushes
+  /// its heap node with the next sequence number.
+  EventId arm(std::uint32_t idx, TimePoint when, EventPriority priority,
+              const char* label) {
+    Slot& s = slab_[idx];
+    s.label = label != nullptr ? label : "";
+    s.next_free = kArmed;
+    heap_push(when.us(), (static_cast<std::uint64_t>(priority) << 60) | next_seq_++, idx);
+    ++live_;
+    return EventId{(static_cast<std::uint64_t>(s.generation) << 32) | idx};
+  }
   void release_slot(std::uint32_t idx);
-  void heap_push(Node node);
+  /// Hole-based sift-up; the node is written once, at its final position.
+  void heap_push(std::int64_t when_us, std::uint64_t order, std::uint32_t slot);
   void heap_pop_root();
   /// Recycles tombstones sitting at the heap root, restoring the invariant
   /// that a non-empty heap's root is a live event.

@@ -6,18 +6,6 @@
 
 namespace simty::sim {
 
-EventId Simulator::schedule_at(TimePoint when, EventFn cb, EventPriority priority,
-                               const char* label) {
-  SIMTY_CHECK_MSG(when >= now_, "Simulator::schedule_at: time in the past");
-  return queue_.schedule(when, priority, std::move(cb), label);
-}
-
-EventId Simulator::schedule_after(Duration delay, EventFn cb,
-                                  EventPriority priority, const char* label) {
-  SIMTY_CHECK_MSG(!delay.is_negative(), "Simulator::schedule_after: negative delay");
-  return queue_.schedule(now_ + delay, priority, std::move(cb), label);
-}
-
 bool Simulator::cancel(EventId id) { return queue_.cancel(id); }
 
 void Simulator::run_until(TimePoint until) {

@@ -8,7 +8,10 @@
 
 #include <cstdint>
 
+#include <utility>
+
 #include "common/arena.hpp"
+#include "common/check.hpp"
 #include "common/time.hpp"
 #include "sim/event_queue.hpp"
 
@@ -31,15 +34,24 @@ class Simulator {
 
   /// Schedules `cb` at absolute time `when` (must be >= now()). `label`
   /// must outlive the event: pass a string literal, or intern_label() for
-  /// a computed one.
-  EventId schedule_at(TimePoint when, EventFn cb,
+  /// a computed one. The callable is forwarded to its queue slot and built
+  /// there (see EventQueue::schedule).
+  template <typename F>
+  EventId schedule_at(TimePoint when, F&& cb,
                       EventPriority priority = EventPriority::kFramework,
-                      const char* label = "");
+                      const char* label = "") {
+    SIMTY_CHECK_MSG(when >= now_, "Simulator::schedule_at: time in the past");
+    return queue_.schedule(when, priority, std::forward<F>(cb), label);
+  }
 
   /// Schedules `cb` after a non-negative delay from now().
-  EventId schedule_after(Duration delay, EventFn cb,
+  template <typename F>
+  EventId schedule_after(Duration delay, F&& cb,
                          EventPriority priority = EventPriority::kFramework,
-                         const char* label = "");
+                         const char* label = "") {
+    SIMTY_CHECK_MSG(!delay.is_negative(), "Simulator::schedule_after: negative delay");
+    return queue_.schedule(now_ + delay, priority, std::forward<F>(cb), label);
+  }
 
   /// Cancels a pending event; false if it already ran or was cancelled.
   bool cancel(EventId id);

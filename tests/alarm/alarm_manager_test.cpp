@@ -8,6 +8,7 @@
 #include "alarm/exact_policy.hpp"
 #include "alarm/native_policy.hpp"
 #include "alarm/simty_policy.hpp"
+#include "snapshot/snapshot.hpp"
 #include "support/framework_fixture.hpp"
 
 namespace simty::alarm {
@@ -367,6 +368,288 @@ TEST_F(AlarmManagerTest, RtcTracksQueueHead) {
   sim_.run_until(at(1000));
   // Queue drained -> RTC cleared.
   EXPECT_FALSE(rtc_->programmed().has_value());
+}
+
+// --- Registration handles: delivery reaches a record from its Alarm, and
+// records (with their Alarm objects) are recycled.
+
+TEST_F(AlarmManagerTest, HandlerMayCancelItsOwnAlarmDuringDelivery) {
+  init(std::make_unique<NativePolicy>());
+  const Alarm* replacement = nullptr;
+  int calls = 0;
+  const AlarmId id = manager_->register_alarm(
+      AlarmSpec::repeating("self.cancelling.tag.longer.than.sso", AppId{1},
+                           RepeatMode::kStatic, Duration::seconds(600), 0.75, 0.96),
+      at(100), [&](const Alarm& a, TimePoint now) {
+        ++calls;
+        manager_->cancel(a.id());
+        // A registration inside the handler must not take the record of the
+        // alarm still being delivered.
+        const AlarmId next = manager_->register_alarm(
+            AlarmSpec::one_shot("replacement", AppId{1}, Duration::seconds(30)),
+            now + Duration::seconds(300), noop_task());
+        replacement = manager_->find(next);
+        EXPECT_NE(replacement, &a);
+        return TaskSpec{ComponentSet{Component::kWifi}, Duration::seconds(5)};
+      });
+  sim_.run_until(at(2000));
+  EXPECT_EQ(calls, 1);
+  ASSERT_EQ(deliveries_of(id).size(), 1u);
+  EXPECT_EQ(deliveries_of(id)[0].tag, "self.cancelling.tag.longer.than.sso");
+  EXPECT_FALSE(manager_->is_registered(id));
+  // The task it returned still ran; the cancel only ends the schedule.
+  EXPECT_EQ(wakelocks_->usage(Component::kWifi).on_time, Duration::seconds(5));
+  EXPECT_EQ(deliveries_.size(), 2u);  // itself and the replacement
+  EXPECT_TRUE(manager_->queue(AlarmKind::kWakeup).empty());
+  EXPECT_TRUE(manager_->check_invariants().empty());
+}
+
+TEST_F(AlarmManagerTest, HandlerMayResetItsOwnAlarmDuringDelivery) {
+  init(std::make_unique<NativePolicy>());
+  // A repeating alarm moved by its handler keeps the handler's time
+  // instead of its grid slot, and is queued once.
+  int repeating_calls = 0;
+  const AlarmId repeating = manager_->register_alarm(
+      AlarmSpec::repeating("moved", AppId{1}, RepeatMode::kStatic,
+                           Duration::seconds(600), 0.75, 0.96),
+      at(100), [&](const Alarm& a, TimePoint now) {
+        if (++repeating_calls == 1) manager_->set(a.id(), now + Duration::seconds(50));
+        EXPECT_TRUE(manager_->check_invariants().empty());
+        return TaskSpec{};
+      });
+  // A one-shot re-armed by its handler stays registered and fires again.
+  int one_shot_calls = 0;
+  const AlarmId one_shot = manager_->register_alarm(
+      AlarmSpec::one_shot("rearmed", AppId{2}, Duration::seconds(0)), at(3000),
+      [&](const Alarm& a, TimePoint now) {
+        if (++one_shot_calls == 1) manager_->set(a.id(), now + Duration::seconds(100));
+        return TaskSpec{};
+      });
+
+  sim_.run_until(at(120));
+  ASSERT_EQ(deliveries_of(repeating).size(), 1u);
+  const TimePoint first = deliveries_of(repeating)[0].delivered;
+  EXPECT_EQ(manager_->find(repeating)->nominal(), first + Duration::seconds(50));
+  EXPECT_TRUE(manager_->check_invariants().empty());
+  sim_.run_until(at(400));
+  ASSERT_EQ(deliveries_of(repeating).size(), 2u);
+  EXPECT_EQ(deliveries_of(repeating)[1].nominal, first + Duration::seconds(50));
+
+  sim_.run_until(at(3010));
+  ASSERT_EQ(deliveries_of(one_shot).size(), 1u);
+  EXPECT_TRUE(manager_->is_registered(one_shot));
+  sim_.run_until(at(3500));
+  EXPECT_EQ(deliveries_of(one_shot).size(), 2u);
+  EXPECT_FALSE(manager_->is_registered(one_shot));
+  EXPECT_TRUE(manager_->check_invariants().empty());
+}
+
+TEST_F(AlarmManagerTest, HandlerMayCancelOrMoveLaterMembersOfItsBatch) {
+  init(std::make_unique<NativePolicy>());
+  const auto repeating = [](const char* tag) {
+    return AlarmSpec::repeating(tag, AppId{1}, RepeatMode::kStatic,
+                                Duration::seconds(600), 0.75, 0.96);
+  };
+  AlarmId cancelled{};
+  AlarmId moved{};
+  const Alarm* cancelled_alarm = nullptr;
+  const Alarm* intruder_alarm = nullptr;
+  const AlarmId first = manager_->register_alarm(
+      repeating("first"), at(100), [&](const Alarm&, TimePoint now) {
+        if (cancelled_alarm != nullptr) return TaskSpec{};  // later deliveries
+        cancelled_alarm = manager_->find(cancelled);
+        manager_->cancel(cancelled);
+        manager_->set(moved, now + Duration::seconds(1000));
+        const AlarmId intruder = manager_->register_alarm(
+            AlarmSpec::one_shot("intruder", AppId{2}, Duration::seconds(30)),
+            now + Duration::seconds(2000), noop_task());
+        intruder_alarm = manager_->find(intruder);
+        return TaskSpec{};
+      });
+  cancelled = manager_->register_alarm(repeating("cancelled"), at(120), noop_task());
+  moved = manager_->register_alarm(repeating("moved"), at(140), noop_task());
+  ASSERT_EQ(manager_->queue(AlarmKind::kWakeup).size(), 1u);  // one joint entry
+
+  sim_.run_until(at(200));
+  ASSERT_NE(cancelled_alarm, nullptr);
+  // The cancelled member's record stayed pinned through the batch, so the
+  // registration inside the handler could not recycle it.
+  EXPECT_NE(intruder_alarm, cancelled_alarm);
+  EXPECT_EQ(deliveries_of(first).size(), 1u);
+  EXPECT_TRUE(deliveries_of(cancelled).empty());
+  EXPECT_TRUE(deliveries_of(moved).empty());  // it now waits for its new time
+  EXPECT_FALSE(manager_->is_registered(cancelled));
+  EXPECT_TRUE(manager_->check_invariants().empty());
+
+  sim_.run_until(at(1300));
+  ASSERT_EQ(deliveries_of(moved).size(), 1u);
+  EXPECT_EQ(deliveries_of(moved)[0].nominal,
+            deliveries_of(first)[0].delivered + Duration::seconds(1000));
+  EXPECT_TRUE(deliveries_of(cancelled).empty());
+  EXPECT_TRUE(manager_->check_invariants().empty());
+}
+
+TEST_F(AlarmManagerTest, DeliveredOneShotKeepsItsRecordUntilItsLastAcquisition) {
+  init(std::make_unique<NativePolicy>());
+  // As in StaggeredAcquisitionOutlivesDeliveredOneShot: the one-shot's
+  // Wi-Fi lock starts 2 s into the session.
+  manager_->register_alarm(
+      AlarmSpec::repeating("sync", AppId{1}, RepeatMode::kStatic,
+                           Duration::seconds(600), 0.75, 0.96),
+      at(100), task(ComponentSet{Component::kWifi}, Duration::seconds(5)));
+  const Alarm* delivered = nullptr;
+  const AlarmId once = manager_->register_alarm(
+      AlarmSpec::one_shot("a.one.shot.tag.longer.than.sso", AppId{2},
+                          Duration::seconds(30)),
+      at(100), [&delivered](const Alarm& a, TimePoint) {
+        delivered = &a;
+        return TaskSpec{ComponentSet{Component::kWifi}, Duration::seconds(5)};
+      });
+  sim_.run_until(at(101));
+  ASSERT_NE(delivered, nullptr);
+  ASSERT_FALSE(manager_->is_registered(once));
+
+  // The acquisition is still pending, so a registration now gets a fresh
+  // record, and the lock is still taken under the one-shot's tag.
+  const AlarmId early = manager_->register_alarm(
+      AlarmSpec::one_shot("early.registration.tag", AppId{3}, Duration::seconds(30)),
+      at(1000), noop_task());
+  EXPECT_NE(manager_->find(early), delivered);
+  sim_.run_until(deliveries_of(once)[0].delivered + Duration::seconds(3));
+  EXPECT_EQ(wifi_holders(*wakelocks_),
+            (std::vector<std::string>{"sync", "a.one.shot.tag.longer.than.sso"}));
+
+  // After the last acquisition the record is free, and the next
+  // registration recycles it, Alarm object included.
+  const AlarmId late = manager_->register_alarm(
+      AlarmSpec::one_shot("late.registration.tag", AppId{3}, Duration::seconds(30)),
+      at(1000), noop_task());
+  EXPECT_EQ(manager_->find(late), delivered);
+  EXPECT_EQ(manager_->find(late)->spec().tag, "late.registration.tag");
+  EXPECT_TRUE(manager_->check_invariants().empty());
+}
+
+std::string save_alarms(const AlarmManager& manager) {
+  snapshot::Writer w;
+  w.begin_section("alarms", 1);
+  manager.save(w);
+  w.end_section();
+  return w.finish();
+}
+
+TEST_F(AlarmManagerTest, SaveBytesIgnoreWhichRecordsChurnReused) {
+  init(std::make_unique<ExactPolicy>());
+  // The same alarms reach the same state twice: here a cancel comes before
+  // the next registration, so that registration reuses the freed record;
+  // in `other` it comes after. Ids, queue and stats match; only the
+  // record layout differs, and save() must not show it.
+  const AlarmSpec spec = AlarmSpec::one_shot("churn", AppId{1}, Duration::seconds(30));
+  test::FrameworkHarness other;
+  other.init(std::make_unique<ExactPolicy>());
+  for (int round = 0; round < 4; ++round) {
+    const std::int64_t t = 100 + 10 * round;
+    const AlarmId a = manager_->register_alarm(spec, at(t), noop_task());
+    const AlarmId b = other.manager_->register_alarm(spec, at(t), noop_task());
+    manager_->cancel(a);
+    manager_->register_alarm(spec, at(t + 5), noop_task());
+    other.manager_->register_alarm(spec, at(t + 5), noop_task());
+    other.manager_->cancel(b);
+  }
+  const std::string bytes = save_alarms(*manager_);
+  EXPECT_EQ(bytes, save_alarms(*other.manager_));
+
+  // A restore rebuilds the records in id order; saving that is the same.
+  test::FrameworkHarness restored;
+  restored.init(std::make_unique<ExactPolicy>());
+  const snapshot::Reader reader(bytes);
+  snapshot::SectionReader s = reader.section("alarms", 1);
+  restored.manager_->restore(s, [](AppId, const std::string&) { return noop_task(); });
+  EXPECT_EQ(save_alarms(*restored.manager_), bytes);
+}
+
+TEST_F(AlarmManagerTest, RestoredAlarmDeliversThroughItsRebuiltHandle) {
+  init(std::make_unique<NativePolicy>());
+  manager_->register_alarm(
+      AlarmSpec::repeating("sync", AppId{1}, RepeatMode::kStatic,
+                           Duration::seconds(600), 0.75, 0.96),
+      at(100), task(ComponentSet{Component::kWifi}, Duration::seconds(2)));
+  manager_->register_alarm(AlarmSpec::one_shot("later", AppId{2}, Duration::seconds(30)),
+                           at(1500), noop_task());
+  sim_.run_until(at(1000));
+  ASSERT_TRUE(device_->quiescent());
+
+  snapshot::Writer w;
+  w.begin_section("sim", 1);
+  sim_.save(w);
+  w.end_section();
+  w.begin_section("device", 1);
+  device_->save(w);
+  w.end_section();
+  w.begin_section("wakelocks", 1);
+  wakelocks_->save(w);
+  w.end_section();
+  w.begin_section("alarms", 1);
+  manager_->save(w);
+  w.end_section();
+  w.begin_section("rtc", 1);
+  rtc_->save(w);
+  w.end_section();
+  const std::string bytes = w.finish();
+
+  test::FrameworkHarness restored;
+  restored.init(std::make_unique<NativePolicy>());
+  std::vector<std::string> resolved_calls;
+  const snapshot::Reader r(bytes);
+  {
+    snapshot::SectionReader s = r.section("sim", 1);
+    restored.sim_.restore(s);
+  }
+  {
+    snapshot::SectionReader s = r.section("device", 1);
+    restored.device_->restore(s);
+  }
+  {
+    snapshot::SectionReader s = r.section("wakelocks", 1);
+    restored.wakelocks_->restore(s);
+  }
+  {
+    snapshot::SectionReader s = r.section("alarms", 1);
+    restored.manager_->restore(s, [&](AppId, const std::string& tag) -> DeliveryHandler {
+      const ComponentSet hw =
+          tag == "sync" ? ComponentSet{Component::kWifi} : ComponentSet::none();
+      const Duration hold = tag == "sync" ? Duration::seconds(2) : Duration::zero();
+      return [&resolved_calls, hw, hold](const Alarm& a, TimePoint) {
+        resolved_calls.push_back(a.spec().tag);
+        return TaskSpec{hw, hold};
+      };
+    });
+  }
+  {
+    snapshot::SectionReader s = r.section("rtc", 1);
+    restored.rtc_->restore(s, restored.manager_->rtc_handler());
+  }
+  ASSERT_TRUE(restored.sim_.fully_bound());
+
+  const std::size_t before = deliveries_.size();
+  sim_.run_until(at(2000));
+  restored.sim_.run_until(at(2000));
+  ASSERT_EQ(restored.deliveries_.size(), deliveries_.size() - before);
+  for (std::size_t i = 0; i < restored.deliveries_.size(); ++i) {
+    const DeliveryRecord& x = deliveries_[before + i];
+    const DeliveryRecord& y = restored.deliveries_[i];
+    EXPECT_EQ(x.id, y.id);
+    EXPECT_EQ(x.tag, y.tag);
+    EXPECT_EQ(x.delivered, y.delivered);
+    EXPECT_EQ(x.hardware_used, y.hardware_used);
+  }
+  // Every restored delivery ran the resolver's handler, and only those.
+  std::vector<std::string> delivered_tags;
+  for (const DeliveryRecord& d : restored.deliveries_) delivered_tags.push_back(d.tag);
+  EXPECT_EQ(delivered_tags.size(), 3u);  // sync twice, later once
+  EXPECT_EQ(resolved_calls, delivered_tags);
+  EXPECT_EQ(restored.wakelocks_->usage(Component::kWifi).on_time,
+            wakelocks_->usage(Component::kWifi).on_time);
+  EXPECT_TRUE(restored.manager_->check_invariants().empty());
 }
 
 }  // namespace

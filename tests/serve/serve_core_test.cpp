@@ -119,19 +119,27 @@ TEST(ServeCodec, BetaFollowsTheCliRule) {
   EXPECT_EQ(decode_request(encode_request(req)).beta_switch->beta, 0.0);
 }
 
-TEST(ServeHash, SeedAndBetaFactorOutAsDesigned) {
+TEST(ServeKey, SeedAndBetaFactorOutAsDesigned) {
   const Request a = quick_request(0.3);
   Request b = a;
   b.beta_switch->beta = 0.9;
   Request c = a;
   c.seed = 99;
 
-  // Result-cache key: β matters, seed is factored out into the pair.
-  EXPECT_NE(config_hash(a), config_hash(b));
-  EXPECT_EQ(config_hash(a), config_hash(c));
+  // Result-cache key (the full encoding): β and seed both matter.
+  EXPECT_NE(encode_request(a), encode_request(b));
+  EXPECT_NE(encode_request(a), encode_request(c));
   // Prefix key: β is blind (the whole point), seed matters.
-  EXPECT_EQ(prefix_hash(a), prefix_hash(b));
-  EXPECT_NE(prefix_hash(a), prefix_hash(c));
+  EXPECT_EQ(prefix_key(a), prefix_key(b));
+  EXPECT_NE(prefix_key(a), prefix_key(c));
+  // The key is the request itself, not a digest of it: it decodes back to
+  // the request with β zeroed, so two keys are equal only when the
+  // requests are.
+  Request blind = a;
+  blind.beta_switch->beta = 0.0;
+  EXPECT_EQ(prefix_key(a), encode_request(blind));
+  EXPECT_EQ(decode_request(prefix_key(a)).seed, a.seed);
+  EXPECT_EQ(decode_request(prefix_key(b)).beta_switch->beta, 0.0);
 }
 
 TEST(ServeCore, RepeatedIdenticalRequestsHitTheResultCache) {

@@ -13,24 +13,33 @@
 // and a whole warmed exp::Run between two quiescent points: alarm batch
 // delivery, the run's delivery observers, staggered wakelocks, power
 // accounting and the reinsertion of repeating alarms into recycled queue
-// entries. Building and finishing a run, registering new alarms, and
-// growth to a new high-water mark (more entries, members, locks or pending
-// events at once than ever before) still allocate; the run gate therefore
-// warms a full simulated day before it measures.
+// entries; and one-shot registration on a warmed alarm manager, which
+// recycles retired registration records. Building and finishing a run,
+// the caller's tag strings, and growth to a new high-water mark (more
+// alarms, entries, members, locks or pending events at once than ever
+// before) still allocate; the run gate therefore warms a full simulated day
+// before it measures.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstddef>
+#include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <vector>
 
+#include "alarm/alarm_manager.hpp"
+#include "alarm/exact_policy.hpp"
 #include "common/arena.hpp"
 #include "common/rng.hpp"
 #include "exp/run.hpp"
 #include "hw/device.hpp"
 #include "hw/power_bus.hpp"
 #include "hw/power_model.hpp"
+#include "hw/rtc.hpp"
+#include "hw/wakelock.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
 
@@ -203,8 +212,8 @@ TEST(AllocGateTest, WarmedDeviceWakeCycleRunsWithZeroAllocations) {
 TEST(AllocGateTest, WarmedRunDeliversAlarmsWithZeroAllocations) {
   // The inner loop of every workload: an RTC wake delivers a batch, the
   // run's observers see each delivery, tasks take staggered wakelocks, and
-  // repeating alarms are reinserted. System alarms register a fresh
-  // one-shot each time (registration allocates), so they are off here.
+  // repeating alarms are reinserted. System alarms build a fresh tag string
+  // for each one-shot they register (that allocates), so they are off here.
   for (const exp::PolicyKind policy :
        {exp::PolicyKind::kNative, exp::PolicyKind::kSimty, exp::PolicyKind::kExact,
         exp::PolicyKind::kSimtyDuration}) {
@@ -225,6 +234,62 @@ TEST(AllocGateTest, WarmedRunDeliversAlarmsWithZeroAllocations) {
         << "a warmed alarm delivery -> reinsertion cycle must not allocate";
     EXPECT_GT(run.alarm_manager().stats().deliveries - delivered, 1'000u);
   }
+}
+
+TEST(AllocGateTest, WarmedManagerRegistersOneShotsAllocatingOnlyTheirTags) {
+  // The system one-shot path: a fresh one-shot is registered, delivered
+  // and retired, over and over. Once the registration table has grown, a
+  // retired record and its Alarm are recycled, so the caller's tag string
+  // is the only allocation a one-shot costs — and here the tags are built
+  // before the measured window.
+  Simulator sim;
+  hw::PowerBus bus;
+  const hw::PowerModel model = hw::PowerModel::nexus5();
+  hw::Device device(sim, model, bus);
+  hw::Rtc rtc(sim, device);
+  hw::WakelockManager wakelocks(sim, model, bus);
+  alarm::AlarmManager manager(sim, device, rtc, wakelocks,
+                              std::make_unique<alarm::ExactPolicy>());
+  std::uint64_t handled = 0;
+  const alarm::DeliveryHandler handler = [&handled](const alarm::Alarm&, TimePoint) {
+    ++handled;
+    return alarm::TaskSpec{hw::ComponentSet{hw::Component::kWifi}, Duration::seconds(1)};
+  };
+  constexpr int kOneShots = 64;
+  // Equal-length tags past the small-string buffer, so every copy of one
+  // (delivery record, wakelock holder) fits the capacity the first round left.
+  const auto tags = [](int round) {
+    std::vector<alarm::AlarmSpec> specs;
+    for (int i = 0; i < kOneShots; ++i) {
+      char tag[32];
+      std::snprintf(tag, sizeof tag, "system.oneshot.%02d.%04d", round, i);
+      specs.push_back(alarm::AlarmSpec::one_shot(tag, alarm::AppId{1000},
+                                                 Duration::seconds(30)));
+    }
+    return specs;
+  };
+  const auto register_and_deliver = [&](std::vector<alarm::AlarmSpec>& specs) {
+    for (int i = 0; i < kOneShots; ++i) {
+      manager.register_alarm(std::move(specs[static_cast<std::size_t>(i)]),
+                             sim.now() + Duration::seconds(60 * (i + 1)), handler);
+    }
+    sim.run_until(sim.now() + Duration::seconds(60 * (kOneShots + 2)));
+  };
+  manager.set_slow_queue_checks(false);  // the check copies the queue
+
+  std::vector<alarm::AlarmSpec> warm = tags(0);
+  register_and_deliver(warm);
+  ASSERT_EQ(handled, static_cast<std::uint64_t>(kOneShots));
+
+  std::vector<alarm::AlarmSpec> measured = tags(1);
+  const std::uint64_t before = alloc_count();
+  register_and_deliver(measured);
+  EXPECT_EQ(alloc_count() - before, 0u)
+      << "a warmed one-shot registration -> delivery -> retirement must not "
+         "allocate beyond its tag";
+  EXPECT_EQ(handled, 2u * kOneShots);
+  EXPECT_EQ(manager.stats().registrations, 2u * kOneShots);
+  EXPECT_TRUE(manager.check_invariants().empty());
 }
 
 TEST(AllocGateTest, CountingHookSeesOrdinaryAllocations) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <type_traits>
 #include <utility>
 
 namespace simty::sim {
@@ -84,6 +86,49 @@ TEST(EventFn, HoldsCaptureAtInlineCapacity) {
   EventFn fn([blob, &out] { out = blob.bytes[0]; });
   fn();
   EXPECT_EQ(out, 42);
+}
+
+// A capture of exactly kInlineBytes that is not trivially relocatable (an
+// owning string plus a pointer): it must take the relocate/destroy path,
+// never the fixed-size copy, and each object must die exactly once.
+struct Lifetimes {
+  int constructed = 0;
+  int destroyed = 0;
+  int live() const { return constructed - destroyed; }
+};
+
+struct OwningCapture {
+  std::string text;
+  Lifetimes* counts;
+
+  OwningCapture(std::string t, Lifetimes* c) : text(std::move(t)), counts(c) {
+    ++counts->constructed;
+  }
+  OwningCapture(OwningCapture&& other) noexcept
+      : text(std::move(other.text)), counts(other.counts) {
+    ++counts->constructed;
+  }
+  OwningCapture(const OwningCapture&) = delete;
+  ~OwningCapture() { ++counts->destroyed; }
+  void operator()() const { EXPECT_EQ(text, "a string too long for the small buffer"); }
+};
+static_assert(sizeof(OwningCapture) == EventFn::kInlineBytes);
+static_assert(!std::is_trivially_copyable_v<OwningCapture>);
+
+TEST(EventFn, FullSizeOwningCaptureRelocatesAndDestroysExactlyOnce) {
+  Lifetimes counts;
+  {
+    EventFn fn(OwningCapture("a string too long for the small buffer", &counts));
+    EXPECT_EQ(counts.constructed, 2);  // the temporary, moved into the buffer
+    EXPECT_EQ(counts.live(), 1);
+    EventFn moved(std::move(fn));
+    EXPECT_FALSE(static_cast<bool>(fn));  // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(counts.constructed, 3);  // one relocation, which destroyed its source
+    EXPECT_EQ(counts.live(), 1);
+    moved();
+  }
+  EXPECT_EQ(counts.constructed, 3);
+  EXPECT_EQ(counts.destroyed, 3);
 }
 
 }  // namespace

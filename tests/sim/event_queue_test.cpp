@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "sim/simulator.hpp"
 #include "snapshot/snapshot.hpp"
 
 namespace simty::sim {
@@ -94,6 +95,81 @@ TEST(EventQueue, EmptyCallbackRejected) {
   EventQueue q;
   EXPECT_THROW(q.schedule(at(1), EventPriority::kFramework, EventFn{}),
                std::logic_error);
+}
+
+TEST(EventQueue, RejectedEmptyCallbackTakesNoSequenceNumberAndNoSlot) {
+  EventQueue rejected;
+  EventQueue clean;
+  rejected.schedule(at(1), EventPriority::kFramework, [] {}, "a");
+  clean.schedule(at(1), EventPriority::kFramework, [] {}, "a");
+  const std::size_t slots = rejected.slab_slots();
+  EXPECT_THROW(rejected.schedule(at(1), EventPriority::kFramework, EventFn{}),
+               std::logic_error);
+  EXPECT_EQ(rejected.slab_slots(), slots);
+  EXPECT_EQ(rejected.size(), 1u);
+  // The next event takes the same slot and sequence number it would have
+  // taken without the rejected call: the saved structures are identical.
+  rejected.schedule(at(1), EventPriority::kFramework, [] {}, "b");
+  clean.schedule(at(1), EventPriority::kFramework, [] {}, "b");
+  snapshot::Writer a;
+  a.begin_section("queue", 1);
+  rejected.save(a);
+  a.end_section();
+  snapshot::Writer b;
+  b.begin_section("queue", 1);
+  clean.save(b);
+  b.end_section();
+  EXPECT_EQ(a.finish(), b.finish());
+}
+
+// Counts how a callable is copied and moved on its way through the queue.
+struct MoveCounter {
+  int* copies;
+  int* moves;
+  int* calls;
+
+  MoveCounter(int* c, int* m, int* k) : copies(c), moves(m), calls(k) {}
+  MoveCounter(const MoveCounter& o) noexcept
+      : copies(o.copies), moves(o.moves), calls(o.calls) {
+    ++*copies;
+  }
+  MoveCounter(MoveCounter&& o) noexcept
+      : copies(o.copies), moves(o.moves), calls(o.calls) {
+    ++*moves;
+  }
+  void operator()() const { ++*calls; }
+};
+
+TEST(EventQueue, ScheduleBuildsTheCallbackInItsSlotAndFiringMovesItAtMostOnce) {
+  int copies = 0;
+  int moves = 0;
+  int calls = 0;
+  const MoveCounter counter(&copies, &moves, &calls);
+  {
+    EventQueue q;
+    // Copying the caller's object into the slot is the construction; no
+    // move may follow it at schedule time.
+    q.schedule(at(1), EventPriority::kFramework, counter);
+    EXPECT_EQ(copies, 1);
+    EXPECT_EQ(moves, 0);
+    EventQueue::Fired fired = q.pop();
+    EXPECT_LE(moves, 1);
+    fired.callback();
+    EXPECT_EQ(calls, 1);
+  }
+  copies = moves = calls = 0;
+  {
+    // The simulator forwards to the same in-place construction.
+    Simulator sim;
+    sim.schedule_at(at(1), counter);
+    sim.schedule_after(Duration::seconds(2), counter);
+    EXPECT_EQ(copies, 2);
+    EXPECT_EQ(moves, 0);
+    sim.run_all();
+    EXPECT_LE(moves, 2);  // at most one per fired event
+    EXPECT_EQ(calls, 2);
+    EXPECT_EQ(copies, 2);
+  }
 }
 
 TEST(EventQueue, SlabRecyclesTombstonedSlots) {
@@ -432,6 +508,22 @@ std::string encode(const QueueImage& img) {
   w.u64(img.live);
   w.end_section();
   return w.finish();
+}
+
+TEST(EventQueueSnapshot, RestoreRejectsArmedSlotCarryingAFreeListLink) {
+  // A live slot has no free-list link (save writes kNil for it); a link on
+  // an armed slot is a corrupt image even when nothing else is wrong.
+  QueueImage img;
+  img.slots[0].next_free = 2;
+  EventQueue q;
+  try {
+    restore_queue(q, encode(img));
+    ADD_FAILURE() << "restore accepted an armed slot with a free-list link";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("armed slot carries a free-list link"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(EventQueueSnapshot, RestoreRejectsStructurallyBadImages) {

@@ -1,7 +1,7 @@
 // simty_serve: result-cached sweep daemon over a local socket.
 //
 // Serves run requests from simty_query, answering repeated identical
-// requests from an in-memory result cache keyed by (config hash, seed) and
+// requests from an in-memory result cache keyed by the request bytes and
 // warm-starting β-sweep points from a shared standby-prefix snapshot (see
 // serve/serve_core.hpp for the cache design and EXPERIMENTS.md for the
 // sweep recipe).
