@@ -73,23 +73,10 @@ Alarm::Alarm(AlarmId id, AlarmSpec spec, TimePoint nominal)
   update_perceptibility();
 }
 
-TimeInterval Alarm::window_interval() const {
-  return TimeInterval::from_length(nominal_, spec_.window_length);
-}
-
-TimeInterval Alarm::grace_interval() const {
-  // Perceptible alarms must be delivered within their window regardless of
-  // grace; exposing grace == window for them keeps entry attributes simple.
-  if (perceptible()) return window_interval();
-  return TimeInterval::from_length(nominal_, spec_.grace_length);
-}
-
 void Alarm::update_perceptibility() {
   perceptible_ = spec_.mode == RepeatMode::kOneShot || !hardware_known_ ||
                  hardware_.any_perceptible();
 }
-
-void Alarm::reschedule(TimePoint nominal) { nominal_ = nominal; }
 
 void Alarm::set_grace_length(Duration grace) {
   spec_.grace_length = grace;

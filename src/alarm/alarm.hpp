@@ -81,11 +81,19 @@ class Alarm {
   TimePoint nominal() const { return nominal_; }
 
   /// [nominal, nominal + window]: the developer-acceptable delivery range.
-  TimeInterval window_interval() const;
+  TimeInterval window_interval() const {
+    return TimeInterval::from_length(nominal_, spec_.window_length);
+  }
 
   /// [nominal, nominal + grace]: how far SIMTY may postpone an
   /// imperceptible delivery (== window for perceptible/one-shot alarms).
-  TimeInterval grace_interval() const;
+  TimeInterval grace_interval() const {
+    // Perceptible alarms must be delivered within their window regardless
+    // of grace; exposing grace == window for them keeps entry attributes
+    // simple.
+    if (perceptible()) return window_interval();
+    return TimeInterval::from_length(nominal_, spec_.grace_length);
+  }
 
   /// Hardware learned from deliveries so far; empty until known.
   hw::ComponentSet hardware() const { return hardware_; }
@@ -105,7 +113,7 @@ class Alarm {
   std::uint64_t delivery_count() const { return delivery_count_; }
 
   /// Moves the nominal time for the next instance (reinsertion).
-  void reschedule(TimePoint nominal);
+  void reschedule(TimePoint nominal) { nominal_ = nominal; }
 
   /// Replaces the grace interval length (the warm-start β lever), validated
   /// against the same §3.1.2 invariants as registration. The owner must

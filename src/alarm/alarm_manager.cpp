@@ -293,7 +293,11 @@ void AlarmManager::sort_queue(AlarmKind kind) const {
   const auto& q = queue(kind);
   std::vector<const Batch*> expected;
   expected.reserve(q.size());
-  for (const auto& b : q) expected.push_back(b.get());
+  for (const auto& b : q) {
+    SIMTY_CHECK_MSG(b->delivery_key_current(),
+                    "cached delivery key differs from its members'");
+    expected.push_back(b.get());
+  }
   std::stable_sort(expected.begin(), expected.end(),
                    [](const Batch* x, const Batch* y) {
                      return x->delivery_time() < y->delivery_time();
@@ -530,6 +534,10 @@ std::vector<std::string> AlarmManager::check_invariants() const {
       if (b.empty()) {
         issues.push_back(str_format("%s[%zu]: empty batch", to_string(kind), i));
         continue;
+      }
+      if (!b.delivery_key_current()) {
+        issues.push_back(
+            str_format("%s[%zu]: cached delivery key is stale", to_string(kind), i));
       }
       if (i > 0 && q[i - 1]->delivery_time() > b.delivery_time()) {
         issues.push_back(str_format("%s[%zu]: queue out of order", to_string(kind), i));

@@ -161,8 +161,8 @@ class AlarmManager {
   /// Read-only view of a batch queue (sorted by delivery time).
   const std::vector<std::unique_ptr<Batch>>& queue(AlarmKind kind) const;
 
-  /// Enables the stable_sort order-equivalence check (see sort_queue)
-  /// after every insert. O(n log n) per insert — tests only. Defaults to on
+  /// Enables the stable_sort order-equivalence and cached-key checks (see
+  /// sort_queue) after every insert. O(n log n) per insert — tests only. Defaults to on
   /// when configured with -DCMAKE_CXX_FLAGS=-DSIMTY_SLOW_CHECKS.
   void set_slow_queue_checks(bool enabled) { slow_queue_checks_ = enabled; }
 
@@ -199,9 +199,11 @@ class AlarmManager {
 
   /// Verifies internal invariants; returns human-readable violations
   /// (empty = healthy). Checked invariants: queues sorted by delivery
-  /// time; every queued alarm registered and queued exactly once; no empty
-  /// batches; grace overlap non-empty in every entry; perceptible entries
-  /// have non-empty window overlap; RTC programmed to the wakeup head.
+  /// time; every entry's cached delivery key equal to the one its members
+  /// derive (Batch::delivery_key_current); every queued alarm registered
+  /// and queued exactly once; no empty batches; grace overlap non-empty in
+  /// every entry; perceptible entries have non-empty window overlap; RTC
+  /// programmed to the wakeup head.
   std::vector<std::string> check_invariants() const;
 
  private:
@@ -249,7 +251,8 @@ class AlarmManager {
   /// alarm was queued.
   bool remove_from_queue(AlarmId id);
 
-  /// Debug check (the old full re-sort, demoted): asserts that the
+  /// Debug check (the old full re-sort, demoted): asserts that every
+  /// entry's cached delivery key matches its members and that the
   /// incrementally maintained queue order matches what a stable_sort of
   /// the current queue would produce. Gated by slow_queue_checks_.
   void sort_queue(AlarmKind kind) const;

@@ -25,6 +25,7 @@ void Batch::add(Alarm* a) {
   hardware_ |= a->hardware();
   perceptible_ = perceptible_ || a->perceptible();
   expected_hold_ = std::max(expected_hold_, a->expected_hold());
+  settle_delivery_time();
 }
 
 bool Batch::remove(AlarmId id) {
@@ -41,16 +42,29 @@ bool Batch::contains(AlarmId id) const {
                      [&](const Alarm* a) { return a->id() == id; });
 }
 
-TimePoint Batch::delivery_time() const {
+void Batch::settle_delivery_time() {
+  const TimeInterval& basis = perceptible_ ? window_ : grace_;
+  has_delivery_time_ = !members_.empty() && !basis.is_empty();
+  delivery_time_ = basis.start();
+}
+
+void Batch::check_delivery_time() const {
   SIMTY_CHECK_MSG(!members_.empty(), "delivery time of an empty batch");
   if (perceptible_) {
     SIMTY_CHECK_MSG(!window_.is_empty(),
                     "perceptible batch must have a non-empty window overlap");
-    return window_.start();
+  } else {
+    SIMTY_CHECK_MSG(!grace_.is_empty(),
+                    "batch must have a non-empty grace overlap");
   }
-  SIMTY_CHECK_MSG(!grace_.is_empty(),
-                  "batch must have a non-empty grace overlap");
-  return grace_.start();
+}
+
+bool Batch::delivery_key_current() const {
+  Batch fresh;
+  fresh.members_ = members_;
+  fresh.refresh();
+  return fresh.has_delivery_time_ == has_delivery_time_ &&
+         (!has_delivery_time_ || fresh.delivery_time_ == delivery_time_);
 }
 
 void Batch::clear() {
@@ -78,6 +92,7 @@ void Batch::refresh() {
     perceptible_ = perceptible_ || a->perceptible();
     expected_hold_ = std::max(expected_hold_, a->expected_hold());
   }
+  settle_delivery_time();
 }
 
 }  // namespace simty::alarm

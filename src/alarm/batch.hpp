@@ -53,8 +53,22 @@ class Batch {
   bool perceptible() const { return perceptible_; }
 
   /// Earliest point of the window interval for perceptible entries, of the
-  /// grace interval otherwise (§3.2.1).
-  TimePoint delivery_time() const;
+  /// grace interval otherwise (§3.2.1): the queue's sort key. It is derived
+  /// whenever the members change (add/remove/refresh/clear), so reading it
+  /// is one predictable branch and a field load. An entry without one
+  /// (empty; perceptible without a window overlap; imperceptible without a
+  /// grace overlap) is recorded as such at that point and throws
+  /// std::logic_error here, on read; add() itself accepts such a member.
+  TimePoint delivery_time() const {
+    if (!has_delivery_time_) [[unlikely]] check_delivery_time();
+    return delivery_time_;
+  }
+
+  /// True when the cached delivery key (or its absence) equals the one
+  /// refresh() would derive from the members' current intervals. A member
+  /// rescheduled or re-profiled while queued, without a refresh(), makes it
+  /// false; AlarmManager::check_invariants() reports such an entry.
+  bool delivery_key_current() const;
 
   /// Largest expected hold among members (duration-similarity extension).
   Duration expected_hold() const { return expected_hold_; }
@@ -70,11 +84,18 @@ class Batch {
   void clear();
 
  private:
+  /// Derives the delivery key from the folded attributes.
+  void settle_delivery_time();
+  /// The SIMTY_CHECKs a keyless entry fails, out of line.
+  [[gnu::cold]] void check_delivery_time() const;
+
   std::vector<Alarm*> members_;
   TimeInterval window_ = TimeInterval::empty();
   TimeInterval grace_ = TimeInterval::empty();
+  TimePoint delivery_time_;
   hw::ComponentSet hardware_;
   bool perceptible_ = false;
+  bool has_delivery_time_ = false;
   Duration expected_hold_ = Duration::zero();
 };
 

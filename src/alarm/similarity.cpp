@@ -30,33 +30,8 @@ const char* to_string(TimeSimilarityMode m) {
   return "?";
 }
 
-SimilarityLevel hardware_similarity(hw::ComponentSet a, hw::ComponentSet b) {
-  if (a == b && !a.empty()) return SimilarityLevel::kHigh;
-  if (a.intersects(b)) return SimilarityLevel::kMedium;
-  return SimilarityLevel::kLow;
-}
-
-int hardware_grade(hw::ComponentSet a, hw::ComponentSet b,
-                   const SimilarityConfig& config) {
-  switch (config.hw_mode) {
-    case HardwareSimilarityMode::kTwoLevel:
-      return a.intersects(b) ? 0 : 1;
-    case HardwareSimilarityMode::kThreeLevel:
-      return static_cast<int>(hardware_similarity(a, b));
-    case HardwareSimilarityMode::kFourLevel: {
-      switch (hardware_similarity(a, b)) {
-        case SimilarityLevel::kHigh: return 0;
-        case SimilarityLevel::kMedium:
-          // Medium split (§3.1.1): sharing an energy-hungry component is
-          // worth more than sharing only cheap ones.
-          return (a & b).intersects(config.energy_hungry) ? 1 : 2;
-        case SimilarityLevel::kLow: return 3;
-      }
-      return 3;
-    }
-  }
+void detail::unknown_hardware_mode() {
   SIMTY_CHECK_MSG(false, "unknown hardware similarity mode");
-  return 0;
 }
 
 int max_hardware_grade(HardwareSimilarityMode mode) {
@@ -65,46 +40,13 @@ int max_hardware_grade(HardwareSimilarityMode mode) {
     case HardwareSimilarityMode::kThreeLevel: return 2;
     case HardwareSimilarityMode::kFourLevel: return 3;
   }
-  SIMTY_CHECK_MSG(false, "unknown hardware similarity mode");
-  return 0;
+  detail::unknown_hardware_mode();
 }
 
-SimilarityLevel time_similarity(const TimeInterval& window_a,
-                                const TimeInterval& grace_a,
-                                const TimeInterval& window_b,
-                                const TimeInterval& grace_b) {
-  if (window_a.overlaps(window_b)) return SimilarityLevel::kHigh;
-  if (grace_a.overlaps(grace_b)) return SimilarityLevel::kMedium;
-  return SimilarityLevel::kLow;
-}
-
-SimilarityLevel time_similarity(const TimeInterval& window_a,
-                                const TimeInterval& grace_a,
-                                const TimeInterval& window_b,
-                                const TimeInterval& grace_b,
-                                const SimilarityConfig& config) {
-  const SimilarityLevel time =
-      time_similarity(window_a, grace_a, window_b, grace_b);
-  if (config.time_mode == TimeSimilarityMode::kWindowOnly &&
-      time == SimilarityLevel::kMedium) {
-    return SimilarityLevel::kLow;  // no grace credit in window-only mode
-  }
-  return time;
-}
-
-bool is_applicable(SimilarityLevel time, bool alarm_perceptible,
-                   bool entry_perceptible) {
-  if (alarm_perceptible || entry_perceptible) {
-    return time == SimilarityLevel::kHigh;
-  }
-  return time == SimilarityLevel::kHigh || time == SimilarityLevel::kMedium;
-}
-
-int preferability_rank(int hw_grade, SimilarityLevel time) {
+void detail::check_preferability_operands(int hw_grade, SimilarityLevel time) {
   SIMTY_CHECK_MSG(time != SimilarityLevel::kLow,
                   "low time similarity is never applicable (Table 1: infinity)");
   SIMTY_CHECK(hw_grade >= 0);
-  return hw_grade * 2 + (time == SimilarityLevel::kHigh ? 1 : 2);
 }
 
 }  // namespace simty::alarm

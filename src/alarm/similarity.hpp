@@ -54,16 +54,46 @@ struct SimilarityConfig {
                                  hw::Component::kScreen};
 };
 
+namespace detail {
+/// The SIMTY_CHECKs of the grade and rank functions below, out of line so
+/// the inline kernels carry only a predictable test and a call.
+[[noreturn, gnu::cold]] void unknown_hardware_mode();
+[[gnu::cold]] void check_preferability_operands(int hw_grade, SimilarityLevel time);
+}  // namespace detail
+
 /// Paper §3.1.1 three-level hardware similarity between two hardware sets:
 /// high iff identical and non-empty; medium iff non-empty intersection but
 /// not identical; low otherwise (including any empty operand).
-SimilarityLevel hardware_similarity(hw::ComponentSet a, hw::ComponentSet b);
+inline SimilarityLevel hardware_similarity(hw::ComponentSet a, hw::ComponentSet b) {
+  if (a == b && !a.empty()) return SimilarityLevel::kHigh;
+  if (a.intersects(b)) return SimilarityLevel::kMedium;
+  return SimilarityLevel::kLow;
+}
 
 /// Graded hardware similarity under the configured granularity:
 /// 0 is the most similar; max_hardware_grade(mode) the least. The
 /// three-level grades are High=0, Medium=1, Low=2.
-int hardware_grade(hw::ComponentSet a, hw::ComponentSet b,
-                   const SimilarityConfig& config);
+inline int hardware_grade(hw::ComponentSet a, hw::ComponentSet b,
+                          const SimilarityConfig& config) {
+  switch (config.hw_mode) {
+    case HardwareSimilarityMode::kTwoLevel:
+      return a.intersects(b) ? 0 : 1;
+    case HardwareSimilarityMode::kThreeLevel:
+      return static_cast<int>(hardware_similarity(a, b));
+    case HardwareSimilarityMode::kFourLevel: {
+      switch (hardware_similarity(a, b)) {
+        case SimilarityLevel::kHigh: return 0;
+        case SimilarityLevel::kMedium:
+          // Medium split (§3.1.1): sharing an energy-hungry component is
+          // worth more than sharing only cheap ones.
+          return (a & b).intersects(config.energy_hungry) ? 1 : 2;
+        case SimilarityLevel::kLow: return 3;
+      }
+      return 3;
+    }
+  }
+  detail::unknown_hardware_mode();
+}
 
 /// Worst (largest) grade under `mode`: 1 / 2 / 3 respectively.
 int max_hardware_grade(HardwareSimilarityMode mode);
@@ -71,34 +101,55 @@ int max_hardware_grade(HardwareSimilarityMode mode);
 /// Paper §3.1.2 time similarity between two parties given their window and
 /// grace intervals: high iff the windows overlap; medium iff the graces
 /// (but not the windows) overlap; low otherwise.
-SimilarityLevel time_similarity(const TimeInterval& window_a,
-                                const TimeInterval& grace_a,
-                                const TimeInterval& window_b,
-                                const TimeInterval& grace_b);
+inline SimilarityLevel time_similarity(const TimeInterval& window_a,
+                                       const TimeInterval& grace_a,
+                                       const TimeInterval& window_b,
+                                       const TimeInterval& grace_b) {
+  if (window_a.overlaps(window_b)) return SimilarityLevel::kHigh;
+  if (grace_a.overlaps(grace_b)) return SimilarityLevel::kMedium;
+  return SimilarityLevel::kLow;
+}
 
 /// Time similarity under the configured granularity. The paper's three-level
 /// classification is the default; in kWindowOnly mode a grace-only overlap
 /// earns no credit, so Medium demotes to Low. This is the single home of
 /// that demotion — the SIMTY policy and the similarity-ablation bench both
 /// go through it, so they cannot diverge.
-SimilarityLevel time_similarity(const TimeInterval& window_a,
-                                const TimeInterval& grace_a,
-                                const TimeInterval& window_b,
-                                const TimeInterval& grace_b,
-                                const SimilarityConfig& config);
+inline SimilarityLevel time_similarity(const TimeInterval& window_a,
+                                       const TimeInterval& grace_a,
+                                       const TimeInterval& window_b,
+                                       const TimeInterval& grace_b,
+                                       const SimilarityConfig& config) {
+  const SimilarityLevel time = time_similarity(window_a, grace_a, window_b, grace_b);
+  if (config.time_mode == TimeSimilarityMode::kWindowOnly &&
+      time == SimilarityLevel::kMedium) {
+    return SimilarityLevel::kLow;  // no grace credit in window-only mode
+  }
+  return time;
+}
 
 /// Applicability rule of the search phase (§3.2.1): when either party is
 /// perceptible only High time similarity qualifies; between imperceptible
 /// parties Medium also qualifies.
-bool is_applicable(SimilarityLevel time, bool alarm_perceptible,
-                   bool entry_perceptible);
+inline bool is_applicable(SimilarityLevel time, bool alarm_perceptible,
+                          bool entry_perceptible) {
+  if (alarm_perceptible || entry_perceptible) {
+    return time == SimilarityLevel::kHigh;
+  }
+  return time == SimilarityLevel::kHigh || time == SimilarityLevel::kMedium;
+}
 
 /// Preferability rank per Table 1, generalized to the configured hardware
 /// granularity: rank = hw_grade * 2 + (time == High ? 1 : 2); lower is
 /// better. With the three-level mode this reproduces Table 1's 1..6
 /// numbering exactly. Callers must only pass applicable (non-Low) time
 /// levels — Low maps to the table's "infinity" and throws here.
-int preferability_rank(int hw_grade, SimilarityLevel time);
+inline int preferability_rank(int hw_grade, SimilarityLevel time) {
+  if (time == SimilarityLevel::kLow || hw_grade < 0) [[unlikely]] {
+    detail::check_preferability_operands(hw_grade, time);
+  }
+  return hw_grade * 2 + (time == SimilarityLevel::kHigh ? 1 : 2);
+}
 
 /// Table 1's global minimum — rank of a High/High match
 /// (preferability_rank(0, kHigh)). A selection scan that finds this rank

@@ -4,9 +4,11 @@ namespace simty::alarm {
 
 SimtyPolicy::SimtyPolicy(SimilarityConfig config) : config_(config) {}
 
-int SimtyPolicy::rank_of(const TimeInterval& window, const TimeInterval& grace,
-                         bool alarm_perceptible, const Alarm& alarm,
-                         const Batch& entry) const {
+// Declared inline so the scan below folds it in: it runs once per queued
+// entry per placement.
+inline int SimtyPolicy::rank_of(const TimeInterval& window, const TimeInterval& grace,
+                                bool alarm_perceptible, const Alarm& alarm,
+                                const Batch& entry) const {
   // Search phase: applicability in terms of user experience (§3.2.1).
   const SimilarityLevel time = time_similarity(
       window, grace, entry.window_interval(), entry.grace_interval(), config_);

@@ -6,30 +6,8 @@
 
 namespace simty {
 
-TimeInterval TimeInterval::from_length(TimePoint start, Duration length) {
-  if (length.is_negative()) {
-    throw std::invalid_argument("TimeInterval::from_length: negative length");
-  }
-  return TimeInterval{start, start + length};
-}
-
-Duration TimeInterval::length() const {
-  if (is_empty()) return Duration::zero();
-  return end_ - start_;
-}
-
-bool TimeInterval::contains(TimePoint t) const {
-  return !is_empty() && start_ <= t && t <= end_;
-}
-
-bool TimeInterval::overlaps(const TimeInterval& o) const {
-  if (is_empty() || o.is_empty()) return false;
-  return start_ <= o.end_ && o.start_ <= end_;
-}
-
-TimeInterval TimeInterval::intersect(const TimeInterval& o) const {
-  if (!overlaps(o)) return empty();
-  return TimeInterval{std::max(start_, o.start_), std::min(end_, o.end_)};
+void detail::throw_negative_interval_length() {
+  throw std::invalid_argument("TimeInterval::from_length: negative length");
 }
 
 TimeInterval TimeInterval::hull(const TimeInterval& o) const {

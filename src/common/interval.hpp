@@ -7,12 +7,19 @@
 // interval that arises when intersecting disjoint member windows inside an
 // imperceptible queue entry (paper §3.2.1).
 
+#include <algorithm>
 #include <optional>
 #include <string>
 
 #include "common/time.hpp"
 
 namespace simty {
+
+namespace detail {
+/// Throws the std::invalid_argument of TimeInterval::from_length; out of
+/// line so the inline kernel carries only the test and a call.
+[[noreturn, gnu::cold]] void throw_negative_interval_length();
+}  // namespace detail
 
 /// A closed interval [start, end] of simulated time; may be empty.
 ///
@@ -28,7 +35,10 @@ class TimeInterval {
   static constexpr TimeInterval point(TimePoint t) { return TimeInterval{t, t}; }
 
   /// [start, start + length]; length must be non-negative.
-  static TimeInterval from_length(TimePoint start, Duration length);
+  static TimeInterval from_length(TimePoint start, Duration length) {
+    if (length.is_negative()) [[unlikely]] detail::throw_negative_interval_length();
+    return TimeInterval{start, start + length};
+  }
 
   /// A canonical empty interval.
   static constexpr TimeInterval empty() {
@@ -40,17 +50,23 @@ class TimeInterval {
   constexpr TimePoint end() const { return end_; }
 
   /// Length of the interval; zero for empty or single-point intervals.
-  Duration length() const;
+  Duration length() const { return is_empty() ? Duration::zero() : end_ - start_; }
 
   /// True when `t` lies inside the (non-empty) interval.
-  bool contains(TimePoint t) const;
+  bool contains(TimePoint t) const { return !is_empty() && start_ <= t && t <= end_; }
 
   /// True when the two intervals share at least one point. Empty intervals
   /// overlap nothing.
-  bool overlaps(const TimeInterval& o) const;
+  bool overlaps(const TimeInterval& o) const {
+    if (is_empty() || o.is_empty()) return false;
+    return start_ <= o.end_ && o.start_ <= end_;
+  }
 
   /// Set intersection; empty result when the intervals are disjoint.
-  TimeInterval intersect(const TimeInterval& o) const;
+  TimeInterval intersect(const TimeInterval& o) const {
+    if (!overlaps(o)) return empty();
+    return TimeInterval{std::max(start_, o.start_), std::min(end_, o.end_)};
+  }
 
   /// Smallest interval containing both (empty operands are identities).
   TimeInterval hull(const TimeInterval& o) const;

@@ -10,11 +10,6 @@ Duration Duration::from_seconds(double s) {
   return Duration::micros(static_cast<std::int64_t>(std::llround(s * 1e6)));
 }
 
-Duration Duration::operator*(double k) const {
-  return Duration::micros(
-      static_cast<std::int64_t>(std::llround(static_cast<double>(us_) * k)));
-}
-
 double Duration::ratio(Duration denom) const {
   if (denom.is_zero()) {
     throw std::invalid_argument("Duration::ratio: zero denominator");

@@ -6,6 +6,7 @@
 // code, and make Duration/TimePoint arithmetic explicit: a TimePoint is a
 // position on the simulated timeline, a Duration is a distance on it.
 
+#include <cmath>
 #include <compare>
 #include <concepts>
 #include <cstdint>
@@ -52,7 +53,10 @@ class Duration {
   constexpr Duration operator*(I k) const {
     return Duration{us_ * static_cast<std::int64_t>(k)};
   }
-  Duration operator*(double k) const;
+  Duration operator*(double k) const {
+    return Duration{
+        static_cast<std::int64_t>(std::llround(static_cast<double>(us_) * k))};
+  }
   Duration operator/(std::int64_t k) const { return Duration{us_ / k}; }
 
   /// Ratio of two durations as a double; divisor must be nonzero.

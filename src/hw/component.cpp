@@ -53,13 +53,7 @@ ComponentSet ComponentSet::all() {
 ComponentSet ComponentSet::from_bits(std::uint32_t bits) {
   SIMTY_CHECK_MSG(bits < (1u << kComponentCount),
                   "ComponentSet::from_bits: bits outside the modelled components");
-  ComponentSet s;
-  s.bits_ = bits;
-  return s;
-}
-
-std::size_t ComponentSet::size() const {
-  return static_cast<std::size_t>(std::popcount(bits_));
+  return with_bits(bits);
 }
 
 bool ComponentSet::contains(Component c) const { return (bits_ & bit_of(c)) != 0; }
@@ -71,27 +65,10 @@ void ComponentSet::insert(Component c) {
 
 void ComponentSet::erase(Component c) { bits_ &= ~bit_of(c); }
 
-ComponentSet ComponentSet::operator|(ComponentSet o) const {
-  ComponentSet s;
-  s.bits_ = bits_ | o.bits_;
-  return s;
-}
-
-ComponentSet ComponentSet::operator&(ComponentSet o) const {
-  ComponentSet s;
-  s.bits_ = bits_ & o.bits_;
-  return s;
-}
-
 ComponentSet ComponentSet::operator-(ComponentSet o) const {
   ComponentSet s;
   s.bits_ = bits_ & ~o.bits_;
   return s;
-}
-
-ComponentSet& ComponentSet::operator|=(ComponentSet o) {
-  bits_ |= o.bits_;
-  return *this;
 }
 
 std::size_t ComponentSet::shared_count(ComponentSet o) const {

@@ -108,16 +108,23 @@ class ComponentSet {
   static ComponentSet from_bits(std::uint32_t bits);
 
   bool empty() const { return bits_ == 0; }
-  std::size_t size() const;
+  std::size_t size() const { return static_cast<std::size_t>(std::popcount(bits_)); }
   bool contains(Component c) const;
 
   void insert(Component c);
   void erase(Component c);
 
-  ComponentSet operator|(ComponentSet o) const;  // union
-  ComponentSet operator&(ComponentSet o) const;  // intersection
+  ComponentSet operator|(ComponentSet o) const {  // union
+    return with_bits(bits_ | o.bits_);
+  }
+  ComponentSet operator&(ComponentSet o) const {  // intersection
+    return with_bits(bits_ & o.bits_);
+  }
   ComponentSet operator-(ComponentSet o) const;  // difference
-  ComponentSet& operator|=(ComponentSet o);
+  ComponentSet& operator|=(ComponentSet o) {
+    bits_ |= o.bits_;
+    return *this;
+  }
 
   bool operator==(const ComponentSet&) const = default;
 
@@ -141,6 +148,12 @@ class ComponentSet {
   constexpr std::uint32_t bits() const { return bits_; }
 
  private:
+  static constexpr ComponentSet with_bits(std::uint32_t bits) {
+    ComponentSet s;
+    s.bits_ = bits;
+    return s;
+  }
+
   std::uint32_t bits_ = 0;
 };
 

@@ -48,14 +48,6 @@ PowerModel PowerModel::wearable() {
   return m;
 }
 
-const ComponentPower& PowerModel::component(Component c) const {
-  return components[static_cast<std::size_t>(c)];
-}
-
-ComponentPower& PowerModel::component(Component c) {
-  return components[static_cast<std::size_t>(c)];
-}
-
 Energy PowerModel::solo_delivery_energy(ComponentSet set, Duration hold) const {
   SIMTY_CHECK(!hold.is_negative());
   const Duration busy = set.empty() ? Duration::zero() : hold;

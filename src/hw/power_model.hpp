@@ -82,8 +82,12 @@ struct PowerModel {
   /// to any published measurement.
   static PowerModel wearable();
 
-  const ComponentPower& component(Component c) const;
-  ComponentPower& component(Component c);
+  const ComponentPower& component(Component c) const {
+    return components[static_cast<std::size_t>(c)];
+  }
+  ComponentPower& component(Component c) {
+    return components[static_cast<std::size_t>(c)];
+  }
 
   /// Analytic energy of a *solo* delivery of an alarm that wakelocks `set`
   /// for `hold`. Used by calibration tests and the Fig-2 bench; the

@@ -84,10 +84,8 @@ bool EventQueue::cancel(EventId id) {
   return true;
 }
 
-TimePoint EventQueue::next_time() const {
+void EventQueue::check_next_time() const {
   SIMTY_CHECK_MSG(live_ > 0, "EventQueue::next_time on empty queue");
-  // live_ > 0 => the root is live (prune invariant after every mutation).
-  return TimePoint::from_us(heap_[0].when_us);
 }
 
 EventQueue::Fired EventQueue::pop() {

@@ -104,7 +104,11 @@ class EventQueue {
   std::size_t size() const { return live_; }
 
   /// Time of the earliest pending event; queue must be non-empty.
-  TimePoint next_time() const;
+  TimePoint next_time() const {
+    if (live_ == 0) [[unlikely]] check_next_time();
+    // live_ > 0 => the root is live (prune invariant after every mutation).
+    return TimePoint::from_us(heap_[0].when_us);
+  }
 
   /// Removes and returns the earliest event's callback and metadata. The
   /// callback is relocated out of its slot once (a fixed-size copy for a
@@ -203,6 +207,8 @@ class EventQueue {
     return EventId{(static_cast<std::uint64_t>(s.generation) << 32) | idx};
   }
   void release_slot(std::uint32_t idx);
+  /// next_time()'s non-empty SIMTY_CHECK, out of line.
+  [[gnu::cold]] void check_next_time() const;
   /// Hole-based sift-up; the node is written once, at its final position.
   void heap_push(std::int64_t when_us, std::uint64_t order, std::uint32_t slot);
   void heap_pop_root();

@@ -12,8 +12,6 @@ namespace simty::trace {
 
 namespace {
 
-thread_local Tracer* g_current = nullptr;
-
 std::string json_escape(const char* s) {
   std::string out;
   for (const char* p = s; *p != '\0'; ++p) {
@@ -207,13 +205,11 @@ void Tracer::save_file(const std::string& path) const {
   snapshot::write_file(path, w.finish());
 }
 
-Tracer* current() { return g_current; }
-
-TraceScope::TraceScope(Tracer* tracer) : previous_(g_current) {
-  g_current = tracer;
+TraceScope::TraceScope(Tracer* tracer) : previous_(detail::current_tracer) {
+  detail::current_tracer = tracer;
 }
 
-TraceScope::~TraceScope() { g_current = previous_; }
+TraceScope::~TraceScope() { detail::current_tracer = previous_; }
 
 namespace {
 

@@ -123,8 +123,14 @@ class Tracer {
   std::vector<std::unique_ptr<std::string>> restored_labels_;
 };
 
+namespace detail {
+/// The current thread's tracer. Inline and constant-initialized, so every
+/// translation unit reads it with one thread-local load, no call.
+inline thread_local Tracer* current_tracer = nullptr;
+}  // namespace detail
+
 /// The tracer installed for the current thread (nullptr = tracing off).
-Tracer* current();
+inline Tracer* current() { return detail::current_tracer; }
 
 /// RAII installer: installs `tracer` (may be nullptr = leave tracing off)
 /// as the current thread's tracer and restores the previous one on exit.

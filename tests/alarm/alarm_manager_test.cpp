@@ -259,6 +259,37 @@ TEST_F(AlarmManagerTest, StaggeredAcquisitionOutlivesDeliveredOneShot) {
   EXPECT_TRUE(manager_->check_invariants().empty());
 }
 
+TEST_F(AlarmManagerTest, CheckInvariantsReportsAStaleDeliveryKey) {
+  init(std::make_unique<SimtyPolicy>());
+  manager_->register_alarm(
+      AlarmSpec::repeating("sync", AppId{1}, RepeatMode::kStatic,
+                           Duration::seconds(600), 0.75, 0.96),
+      at(100), task(ComponentSet{Component::kWifi}, Duration::seconds(2)));
+  ASSERT_TRUE(manager_->check_invariants().empty());
+  // Moving a queued member behind the manager's back leaves its entry's
+  // cached key at the old nominal time.
+  manager_->queue(AlarmKind::kWakeup).front()->members().front()->reschedule(at(150));
+  const std::vector<std::string> issues = manager_->check_invariants();
+  ASSERT_EQ(issues.size(), 1u);
+  EXPECT_NE(issues[0].find("cached delivery key"), std::string::npos) << issues[0];
+}
+
+TEST_F(AlarmManagerTest, SlowQueueChecksRejectAStaleDeliveryKey) {
+  init(std::make_unique<SimtyPolicy>());
+  manager_->set_slow_queue_checks(true);
+  manager_->register_alarm(
+      AlarmSpec::repeating("sync", AppId{1}, RepeatMode::kStatic,
+                           Duration::seconds(600), 0.75, 0.96),
+      at(100), task(ComponentSet{Component::kWifi}, Duration::seconds(2)));
+  manager_->queue(AlarmKind::kWakeup).front()->members().front()->reschedule(at(150));
+  // The next insert's order check first re-derives every entry's key.
+  EXPECT_THROW(manager_->register_alarm(
+                   AlarmSpec::repeating("poll", AppId{2}, RepeatMode::kStatic,
+                                        Duration::seconds(900), 0.75, 0.96),
+                   at(5000), task(ComponentSet{Component::kWps}, Duration::seconds(2))),
+               std::logic_error);
+}
+
 TEST_F(AlarmManagerTest, StaggeredAcquisitionOutlivesCancel) {
   init(std::make_unique<NativePolicy>());
   manager_->register_alarm(

@@ -191,5 +191,94 @@ TEST(Batch, DeliveryTimeOfEmptyBatchThrows) {
   EXPECT_THROW(batch.delivery_time(), std::logic_error);
 }
 
+// The delivery key is cached at mutation time; each test below pins it
+// against the value the members imply and against delivery_key_current().
+
+TEST(Batch, CachedDeliveryKeyFollowsAdd) {
+  // Graces [0,288], [100,388], [50,338]: the grace start is the max nominal.
+  auto a = imperceptible_alarm(1, 0, 300, ComponentSet{Component::kWifi});
+  auto b = imperceptible_alarm(2, 100, 300, ComponentSet{Component::kWifi});
+  auto c = imperceptible_alarm(3, 50, 300, ComponentSet{Component::kWifi});
+  Batch batch(a.get());
+  EXPECT_EQ(batch.delivery_time(), at(0));
+  EXPECT_TRUE(batch.delivery_key_current());
+  batch.add(b.get());
+  EXPECT_EQ(batch.delivery_time(), at(100));
+  EXPECT_TRUE(batch.delivery_key_current());
+  batch.add(c.get());
+  EXPECT_EQ(batch.delivery_time(), at(100));
+  EXPECT_TRUE(batch.delivery_key_current());
+}
+
+TEST(Batch, CachedDeliveryKeyFollowsRemove) {
+  auto a = imperceptible_alarm(1, 0, 300, ComponentSet{Component::kWifi});
+  auto b = imperceptible_alarm(2, 100, 300, ComponentSet{Component::kWifi});
+  Batch batch(a.get());
+  batch.add(b.get());
+  ASSERT_EQ(batch.delivery_time(), at(100));
+  ASSERT_TRUE(batch.remove(AlarmId{2}));
+  EXPECT_EQ(batch.delivery_time(), at(0));
+  EXPECT_TRUE(batch.delivery_key_current());
+  ASSERT_TRUE(batch.remove(AlarmId{1}));
+  EXPECT_THROW(batch.delivery_time(), std::logic_error);
+  EXPECT_TRUE(batch.delivery_key_current());
+}
+
+TEST(Batch, RemovingTheMemberThatVoidedTheKeyRestoresIt) {
+  // As in PerceptibleEntryWithEmptyWindowThrowsOnDeliveryTime: the loud
+  // member leaves the entry perceptible with no window overlap, so the
+  // entry has no key until it is removed again.
+  auto quiet = imperceptible_alarm(1, 0, 300, ComponentSet{Component::kWifi}, 0.1, 0.96);
+  auto late = imperceptible_alarm(2, 250, 300, ComponentSet{Component::kWifi}, 0.1, 0.96);
+  auto loud = imperceptible_alarm(
+      3, 250, 300, ComponentSet{Component::kVibrator}, 0.1, 0.96);
+  Batch batch(quiet.get());
+  batch.add(late.get());
+  batch.add(loud.get());
+  EXPECT_THROW(batch.delivery_time(), std::logic_error);
+  EXPECT_TRUE(batch.delivery_key_current());
+  ASSERT_TRUE(batch.remove(AlarmId{3}));
+  EXPECT_EQ(batch.delivery_time(), at(250));
+  EXPECT_TRUE(batch.delivery_key_current());
+}
+
+TEST(Batch, CachedDeliveryKeyGoesStaleUntilRefresh) {
+  auto a = imperceptible_alarm(1, 0, 300, ComponentSet{Component::kWifi});
+  auto b = imperceptible_alarm(2, 100, 300, ComponentSet{Component::kWifi});
+  Batch batch(a.get());
+  batch.add(b.get());
+  b->reschedule(at(200));
+  // The key is not re-derived on read: the entry still reports the old
+  // one, and the cross-check sees the difference.
+  EXPECT_EQ(batch.delivery_time(), at(100));
+  EXPECT_FALSE(batch.delivery_key_current());
+  batch.refresh();
+  EXPECT_EQ(batch.delivery_time(), at(200));
+  EXPECT_TRUE(batch.delivery_key_current());
+}
+
+TEST(Batch, CachedDeliveryKeyFollowsClearAndRecycle) {
+  auto a = imperceptible_alarm(1, 0, 300, ComponentSet{Component::kWifi});
+  auto b = imperceptible_alarm(2, 100, 300, ComponentSet{Component::kWifi});
+  auto later = imperceptible_alarm(3, 700, 600, ComponentSet{Component::kWps});
+  Batch batch(a.get());
+  batch.add(b.get());
+  batch.clear();
+  EXPECT_THROW(batch.delivery_time(), std::logic_error);
+  EXPECT_TRUE(batch.delivery_key_current());
+  // Refilled as the manager recycles an entry: only the new member counts.
+  batch.add(later.get());
+  EXPECT_EQ(batch.delivery_time(), at(700));
+  EXPECT_TRUE(batch.delivery_key_current());
+  // A one-shot (perceptible) member keys the entry on its window start.
+  auto once = std::make_unique<Alarm>(
+      AlarmId{4}, AlarmSpec::one_shot("once", AppId{1}, Duration::seconds(30)), at(710));
+  batch.clear();
+  batch.add(once.get());
+  EXPECT_TRUE(batch.perceptible());
+  EXPECT_EQ(batch.delivery_time(), at(710));
+  EXPECT_TRUE(batch.delivery_key_current());
+}
+
 }  // namespace
 }  // namespace simty::alarm

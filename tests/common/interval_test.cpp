@@ -16,6 +16,16 @@ TEST(TimeInterval, FromLength) {
                std::invalid_argument);
 }
 
+TEST(TimeInterval, FromZeroLengthIsAPoint) {
+  const TimeInterval p = TimeInterval::from_length(at(7), Duration::zero());
+  EXPECT_EQ(p, TimeInterval::point(at(7)));
+  EXPECT_FALSE(p.is_empty());
+  EXPECT_EQ(p.length(), Duration::zero());
+  EXPECT_TRUE(p.contains(at(7)));
+  EXPECT_FALSE(p.contains(at(7) + Duration::micros(1)));
+  EXPECT_FALSE(p.contains(at(7) - Duration::micros(1)));
+}
+
 TEST(TimeInterval, PointIntervalIsClosed) {
   // An alpha = 0 alarm has a single-point window: it still "overlaps" an
   // interval containing that point.
@@ -45,6 +55,34 @@ TEST(TimeInterval, OverlapIsSymmetricAndClosed) {
   EXPECT_TRUE(b.overlaps(a));
   EXPECT_FALSE(a.overlaps(c));
   EXPECT_FALSE(c.overlaps(a));
+}
+
+TEST(TimeInterval, TouchingClosedIntervalsIntersectInOnePoint) {
+  const TimeInterval a{at(0), at(10)};
+  const TimeInterval b{at(10), at(20)};
+  EXPECT_EQ(a.intersect(b), TimeInterval::point(at(10)));
+  EXPECT_EQ(b.intersect(a), TimeInterval::point(at(10)));
+  EXPECT_FALSE(a.intersect(b).is_empty());
+  EXPECT_EQ(a.intersect(b).length(), Duration::zero());
+}
+
+TEST(TimeInterval, EmptyOperandOverlapsNothing) {
+  // A non-canonical empty interval whose endpoints lie inside `wide` is
+  // still empty; so is the canonical one.
+  const TimeInterval wide{at(0), at(100)};
+  const TimeInterval point = TimeInterval::point(at(50));
+  for (const TimeInterval& e : {TimeInterval::empty(), TimeInterval{at(60), at(40)}}) {
+    ASSERT_TRUE(e.is_empty());
+    EXPECT_FALSE(e.overlaps(wide));
+    EXPECT_FALSE(wide.overlaps(e));
+    EXPECT_FALSE(e.overlaps(point));
+    EXPECT_FALSE(point.overlaps(e));
+    EXPECT_FALSE(e.overlaps(e));
+    EXPECT_FALSE(e.overlaps(TimeInterval::empty()));
+    EXPECT_TRUE(wide.intersect(e).is_empty());
+    EXPECT_TRUE(e.intersect(wide).is_empty());
+    EXPECT_FALSE(e.contains(at(50)));
+  }
 }
 
 TEST(TimeInterval, IntersectComputesOverlapRegion) {

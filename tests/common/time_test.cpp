@@ -36,6 +36,20 @@ TEST(Duration, FloatingScaleRounds) {
   EXPECT_EQ(Duration::micros(1) * 0.4, Duration::zero());
 }
 
+TEST(Duration, FloatingScaleRoundsHalfAwayFromZero) {
+  // Exactly ±0.5 µs rounds away from zero, not to even.
+  EXPECT_EQ(Duration::micros(1) * 0.5, Duration::micros(1));
+  EXPECT_EQ(Duration::micros(1) * -0.5, Duration::micros(-1));
+  EXPECT_EQ(Duration::micros(-1) * 0.5, Duration::micros(-1));
+  EXPECT_EQ(Duration::micros(5) * 0.5, Duration::micros(3));
+  EXPECT_EQ(Duration::micros(-5) * 0.5, Duration::micros(-3));
+  EXPECT_EQ(-0.5 * Duration::micros(3), Duration::micros(-2));
+  // Negative durations below the half point round toward zero.
+  EXPECT_EQ(Duration::micros(-1) * 0.4, Duration::zero());
+  EXPECT_EQ(Duration::micros(-7) * 0.3, Duration::micros(-2));
+  EXPECT_EQ(Duration::seconds(-60) * 0.75, Duration::seconds(-45));
+}
+
 TEST(Duration, CompoundAssignment) {
   Duration d = Duration::seconds(1);
   d += Duration::seconds(2);
